@@ -9,6 +9,10 @@ statistically equivalent chains: the same chain.
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -80,6 +84,33 @@ class TestKernelConfig:
         _, _, trace = sampler.run(paper_claims)
         assert trace.kernel == "blocked"
         assert trace.block_count == BlockSchedule.build(paper_claims).num_blocks
+
+
+# ---------------------------------------------------------------------------
+# Golden fixed-seed chains
+# ---------------------------------------------------------------------------
+GOLDEN = json.loads((Path(__file__).parent / "data" / "gibbs_golden.json").read_text())
+
+
+class TestGoldenValues:
+    """The default sampler reproduces pinned chains byte for byte.
+
+    ``tests/data/gibbs_golden.json`` holds, per catalog dataset, the sha256 of
+    the ``scores`` bytes, the final confusion counts and the per-sweep flip
+    counts of a seed-13 paper-schedule fit under adaptive priors.  Any change
+    to the sweep's arithmetic or visiting order shows up here.
+    """
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    def test_default_sampler_matches_golden(self, key):
+        golden = GOLDEN[key]
+        claims = default_catalog().create(key).to_dataset().claims
+        config = GibbsConfig.paper_schedule(golden["budget"], seed=13)
+        sampler = CollapsedGibbsSampler(priors=LTMPriors.adaptive(claims), config=config)
+        scores, counts, trace = sampler.run(claims)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == golden["scores_sha256"]
+        assert counts.counts.tolist() == golden["counts"]
+        assert trace.flips_per_iteration == golden["flips_per_iteration"]
 
 
 # ---------------------------------------------------------------------------
