@@ -113,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     integrate.add_argument("--threshold", type=float, default=0.5, help="acceptance threshold")
     integrate.add_argument("--seed", type=int, default=7, help="random seed")
-    integrate.add_argument(
-        "--kernel",
-        choices=["scalar", "blocked", "auto"],
-        default=None,
-        help="Gibbs sweep kernel for sampling methods (exact-seed identical; "
-        "auto picks the fastest)",
-    )
     integrate.add_argument("--max-records", type=int, default=20, help="merged records to print")
     _add_execution_arguments(integrate)
     _add_telemetry_arguments(integrate)
@@ -151,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     export.add_argument("--threshold", type=float, default=0.5, help="acceptance threshold")
     export.add_argument("--seed", type=int, default=7, help="random seed")
-    export.add_argument(
-        "--kernel",
-        choices=["scalar", "blocked", "auto"],
-        default=None,
-        help="Gibbs sweep kernel for sampling methods (exact-seed identical; "
-        "auto picks the fastest)",
-    )
     export.add_argument("--name", default=None, help="artifact name (defaults to the method)")
     _add_execution_arguments(export)
     _add_telemetry_arguments(export)
@@ -415,8 +401,6 @@ def _integrate(args: argparse.Namespace) -> int:
         params["iterations"] = args.iterations
     if spec.accepts("seed"):
         params["seed"] = args.seed
-    if args.kernel is not None and spec.accepts("kernel"):
-        params["kernel"] = args.kernel
     try:
         execution = _execution_from_args(args)
         if args.source is not None:
@@ -510,8 +494,6 @@ def _export(args: argparse.Namespace) -> int:
         params["iterations"] = args.iterations
     if spec.accepts("seed"):
         params["seed"] = args.seed
-    if args.kernel is not None and spec.accepts("kernel"):
-        params["kernel"] = args.kernel
     try:
         execution = _execution_from_args(args)
         if args.shard_dir is not None and execution is None:

@@ -33,7 +33,6 @@ class PositiveOnlyLTM(TruthMethod):
         burn_in: int | None = None,
         thin: int | None = None,
         seed: int | None = None,
-        kernel: str = "auto",
     ):
         super().__init__()
         self._priors = priors
@@ -41,7 +40,6 @@ class PositiveOnlyLTM(TruthMethod):
         self._burn_in = burn_in
         self._thin = thin
         self._seed = seed
-        self._kernel = kernel
 
     def _fit(self, claims: ClaimMatrix) -> TruthResult:
         positive = claims.positive_only()
@@ -56,7 +54,6 @@ class PositiveOnlyLTM(TruthMethod):
             burn_in=self._burn_in,
             thin=self._thin,
             seed=self._seed,
-            kernel=self._kernel,
         )
         result = model.fit(positive)
         return TruthResult(

@@ -40,10 +40,6 @@ class LatentTruthModel(TruthMethod):
         thinning 5 follows its main experiments.
     seed:
         Random seed for reproducible fits.
-    kernel:
-        Gibbs sweep implementation: ``"scalar"``, ``"blocked"`` or ``"auto"``
-        (the default — pick the fastest).  Kernels are exact-seed
-        bit-identical; the choice affects wall-clock only.
 
     Examples
     --------
@@ -67,7 +63,6 @@ class LatentTruthModel(TruthMethod):
         burn_in: int | None = None,
         thin: int | None = None,
         seed: int | None = None,
-        kernel: str = "auto",
     ):
         super().__init__()
         self.priors = priors
@@ -75,9 +70,7 @@ class LatentTruthModel(TruthMethod):
             schedule = GibbsConfig.paper_schedule(iterations, seed=seed)
             burn_in = schedule.burn_in if burn_in is None else burn_in
             thin = schedule.thin if thin is None else thin
-        self.config = GibbsConfig(
-            iterations=iterations, burn_in=burn_in, thin=thin, seed=seed, kernel=kernel
-        )
+        self.config = GibbsConfig(iterations=iterations, burn_in=burn_in, thin=thin, seed=seed)
 
     # -- fitting -------------------------------------------------------------------
     def resolved_priors(self, claims: ClaimMatrix) -> LTMPriors:

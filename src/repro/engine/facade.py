@@ -517,10 +517,7 @@ class TruthEngine:
                 iterations=trace.total_iterations,
                 samples=trace.samples_collected,
                 flip_fraction=flip_fraction,
-                kernel=trace.kernel,
             )
-            if trace.block_count:
-                span.set(block_count=trace.block_count)
 
     def _combined_history(self) -> RawDatabase:
         """Everything seen so far: the fitted source (if any) plus batches.

@@ -8,6 +8,7 @@ subset construction, the timing loop and the regression.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -84,9 +85,13 @@ def entity_subsets(
 def runtime_scaling_study(
     method_factory: Callable[[], TruthMethod],
     subsets: Iterable[ClaimMatrix],
-    repeats: int = 1,
+    repeats: int = 5,
 ) -> tuple[list[dict[str, float]], LinearFit]:
     """Time a method on each subset and regress runtime on the number of claims.
+
+    As in :mod:`timeit`, each timed fit runs with the garbage collector
+    paused after a full collection, so a collection pause landing in one
+    subset's fit cannot bend the runtime curve.
 
     Parameters
     ----------
@@ -96,32 +101,43 @@ def runtime_scaling_study(
     subsets:
         Claim matrices of increasing size.
     repeats:
-        Number of timed repetitions per subset; the average is used.
+        Number of timed repetitions per subset; their median is used.
 
     Returns
     -------
     (measurements, fit):
         ``measurements`` is one dict per subset with the number of entities,
-        facts, claims and the average runtime; ``fit`` is the linear
+        facts, claims and the median runtime; ``fit`` is the linear
         regression of runtime on claims (Figure 6's regression line).
     """
     if repeats <= 0:
         raise EvaluationError("repeats must be positive")
-    measurements: list[dict[str, float]] = []
-    for subset in subsets:
-        runtimes = []
-        for _ in range(repeats):
+    subsets = list(subsets)
+    runtimes: list[list[float]] = [[] for _ in subsets]
+    # Round-robin over the subsets, so a slow spell of the machine lands in
+    # one repetition of several subsets rather than in every repetition of
+    # one subset, and each subset's median drops it.
+    for _ in range(repeats):
+        for subset, times in zip(subsets, runtimes):
             method = method_factory()
-            result = method.fit(subset)
-            runtimes.append(result.runtime_seconds)
-        measurements.append(
-            {
-                "entities": float(subset.num_entities),
-                "facts": float(subset.num_facts),
-                "claims": float(subset.num_claims),
-                "runtime_seconds": float(np.mean(runtimes)),
-            }
-        )
+            gc.collect()
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                result = method.fit(subset)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            times.append(result.runtime_seconds)
+    measurements = [
+        {
+            "entities": float(subset.num_entities),
+            "facts": float(subset.num_facts),
+            "claims": float(subset.num_claims),
+            "runtime_seconds": float(np.median(times)),
+        }
+        for subset, times in zip(subsets, runtimes)
+    ]
     fit = linear_fit(
         [m["claims"] for m in measurements],
         [m["runtime_seconds"] for m in measurements],

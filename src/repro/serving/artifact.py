@@ -64,7 +64,7 @@ __all__ = [
 
 #: Current artifact schema version.  Bump when the manifest layout or the
 #: array set changes, and register a migration for the old version.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
@@ -97,6 +97,24 @@ def register_migration(
             f"a migration from schema version {from_version} is already registered"
         )
     _MIGRATIONS[from_version] = hook
+
+
+def _drop_kernel_param(manifest: dict) -> dict:
+    """Schema 1 -> 2: the Gibbs sampler no longer takes a ``kernel`` parameter.
+
+    Version-1 artifacts exported with a kernel choice store it in
+    ``config.params``; the sampler now has a single sweep, so the entry is
+    dropped and the artifact loads, serves and refits unchanged.
+    """
+    config = manifest.get("config")
+    params = config.get("params") if isinstance(config, dict) else None
+    if isinstance(params, dict):
+        params.pop("kernel", None)
+    manifest["schema_version"] = 2
+    return manifest
+
+
+register_migration(1, _drop_kernel_param)
 
 
 def _migrate(manifest: dict) -> dict:

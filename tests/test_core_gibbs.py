@@ -93,6 +93,9 @@ class TestCollapsedGibbsSampler:
         sampler = CollapsedGibbsSampler(config=GibbsConfig(iterations=5, burn_in=1, thin=1, seed=0))
         scores, _, _ = sampler.run(paper_claims, initial_truth=initial)
         assert scores.shape == (paper_claims.num_facts,)
+        # A boolean assignment is the same assignment.
+        from_bool, _, _ = sampler.run(paper_claims, initial_truth=initial.astype(bool))
+        assert np.array_equal(scores, from_bool)
 
     def test_invalid_initial_truth(self, paper_claims):
         sampler = CollapsedGibbsSampler()
@@ -100,6 +103,10 @@ class TestCollapsedGibbsSampler:
             sampler.run(paper_claims, initial_truth=np.ones(3))
         with pytest.raises(ModelError):
             sampler.run(paper_claims, initial_truth=np.full(paper_claims.num_facts, 2))
+        # Fractional values must be rejected, not truncated to 0 or 1.
+        for value in (0.7, 1.9):
+            with pytest.raises(ModelError, match="binary"):
+                sampler.run(paper_claims, initial_truth=np.full(paper_claims.num_facts, value))
 
     def test_checkpoints_recorded(self, paper_claims):
         sampler = CollapsedGibbsSampler(config=GibbsConfig(iterations=30, burn_in=5, thin=1, seed=0))

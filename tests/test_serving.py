@@ -205,6 +205,7 @@ def test_migration_hook_upgrades_old_artifacts(tmp_path):
         data.setdefault("name", "migrated-v0")
         return data
 
+    # v0 -> v1 through the test hook, then v1 -> v2 through the bundled one.
     artifact_module.register_migration(0, upgrade_v0)
     try:
         restored = TruthArtifact.load(path)
@@ -212,10 +213,35 @@ def test_migration_hook_upgrades_old_artifacts(tmp_path):
         artifact_module._MIGRATIONS.pop(0, None)
     assert restored.name == "migrated-v0"
     assert restored.num_facts == 5
+    assert restored.schema_version == SCHEMA_VERSION == 2
 
     # Registering forwards or twice is rejected.
     with pytest.raises(ArtifactError):
         artifact_module.register_migration(SCHEMA_VERSION, upgrade_v0)
+
+
+def test_v1_artifact_with_kernel_param_loads_serves_and_refits(tmp_path):
+    # Schema-1 artifacts exported with a Gibbs kernel choice carry
+    # ``params.kernel``; the 1 -> 2 migration drops it.
+    params = {"iterations": 25, "seed": 11}
+    engine = TruthEngine(method="ltm", params=params).fit("paper_example")
+    path = engine.save(tmp_path / "artifact")
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["schema_version"] = 1
+    manifest["config"]["params"]["kernel"] = "blocked"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    restored = TruthArtifact.load(path)
+    assert restored.schema_version == SCHEMA_VERSION
+    assert restored.config.params == params
+    assert restored.fact_scores() == engine.fact_scores
+    service = TruthService(path)
+    for (entity, attribute), score in engine.fact_scores.items():
+        assert service.truth_of(entity, attribute) == score
+
+    refit = TruthEngine.load(path).fit("paper_example")
+    assert refit.fact_scores == engine.fact_scores
 
 
 def test_load_rejects_non_artifacts(tmp_path):
