@@ -320,14 +320,16 @@ class TruthAPI:
         The writer scores arriving batches with the closed-form LTMinc
         posterior only (``retrain_every=0``) — full re-training stays an
         offline job whose output is published through ``/refresh``, exactly
-        the train/serve split of paper Section 5.4.
+        the train/serve split of paper Section 5.4.  Since it never re-fits
+        and artifacts carry no triples, it keeps no history either
+        (``retain_history=False``).
         """
         from repro.engine.facade import TruthEngine
 
         if self._writer_engine is None:
             artifact = self.service.artifact
             config = dataclasses.replace(
-                artifact.config, retrain_every=0, export_dir=None
+                artifact.config, retrain_every=0, retain_history=False, export_dir=None
             )
             self._writer_engine = TruthEngine.from_artifact(
                 dataclasses.replace(artifact, config=config)

@@ -163,12 +163,6 @@ class ClaimTableBuilder:
         """Mapping of ``(entity, attribute)`` to fact id (after :meth:`build`)."""
         return dict(self._fact_ids)
 
-    # -- vectorized bulk ingest -----------------------------------------------------
-    @classmethod
-    def bulk(cls, triples: Iterable[Triple | tuple] | RawDatabase, strict: bool = False) -> ClaimMatrix:
-        """Vectorized triples-to-matrix path (see :func:`bulk_build_claim_matrix`)."""
-        return bulk_build_claim_matrix(triples, strict=strict)
-
 
 # ---------------------------------------------------------------------------
 # Vectorized bulk ingest

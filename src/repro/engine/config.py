@@ -137,12 +137,12 @@ class EngineConfig:
     retain_history:
         Streaming only: when true (default) the engine accumulates every
         triple it has seen, so cumulative re-fits and
-        :meth:`~repro.engine.TruthEngine.to_dataset` cover the full stream.
-        Set false for out-of-core streams whose history lives elsewhere
-        (e.g. a :class:`~repro.store.claims.ClaimStore` the engine reads
-        through a :class:`~repro.io.store_source.StoreSource`): the engine
-        then holds only the current re-train window, bounding its memory by
-        batch size.  Incompatible with cumulative periodic re-training
+        :meth:`~repro.engine.TruthEngine.fit` with no data cover the full
+        stream.  Set false for out-of-core streams whose history lives
+        elsewhere (e.g. a :class:`~repro.store.claims.ClaimStore` the engine
+        reads through a :class:`~repro.io.store_source.StoreSource`): the
+        engine then holds only the current re-train window (nothing when
+        ``retrain_every=0``), bounding its memory by batch size.  Incompatible with cumulative periodic re-training
         (``cumulative=True`` with ``retrain_every > 0``), which by
         definition needs the full history in reach.
     execution:

@@ -49,7 +49,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -60,12 +60,12 @@ from repro.core.incremental import IncrementalLTM, prior_mean_predictor
 from repro.core.priors import LTMPriors
 from repro.data.claim_builder import build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
-from repro.data.raw import RawDatabase
 from repro.store.table import Table
 from repro.engine.config import EngineConfig
 from repro.engine.registry import MethodRegistry, default_registry
 from repro.exceptions import (
     ConfigurationError,
+    DataModelError,
     EmptyDatasetError,
     ModelError,
     NotFittedError,
@@ -75,6 +75,7 @@ from repro.streaming.stream import ClaimBatch
 from repro.types import Triple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.data.raw import RawDatabase
     from repro.io.base import DataSource
     from repro.pipeline.integrate import IntegrationResult
     from repro.serving.artifact import TruthArtifact
@@ -102,6 +103,36 @@ def _source_triples(data: Any) -> Iterable[Triple]:
     from repro.io.catalog import as_source
 
     return as_source(data).iter_triples()
+
+
+# The engine's history: the raw database of Definition 1 as an
+# insertion-ordered set of ``(entity, attribute, source)`` tuples.  A dict
+# keeps first-seen order and drops exact duplicates, like
+# ``RawDatabase(strict=False)``.
+_History = dict[tuple[Any, Any, Any], None]
+
+
+def _history_rows(triples: Iterable[Triple | tuple]) -> Iterator[tuple[Any, Any, Any]]:
+    """Yield ``triples`` as plain ``(entity, attribute, source)`` tuples.
+
+    Raises
+    ------
+    DataModelError
+        For a row that is not exactly three fields, or has a ``None`` field.
+    """
+    for row in triples:
+        if isinstance(row, Triple):
+            entity, attribute, source = row.entity, row.attribute, row.source
+        else:
+            try:
+                entity, attribute, source = row
+            except (TypeError, ValueError):
+                raise DataModelError(
+                    f"expected (entity, attribute, source) triples, got {row!r}"
+                ) from None
+        if entity is None or attribute is None or source is None:
+            raise DataModelError(f"raw triple fields must not be None, got {row!r}")
+        yield entity, attribute, source
 
 
 @dataclass
@@ -206,9 +237,9 @@ class TruthEngine:
                     f"config fields are {sorted(f.name for f in dataclasses.fields(EngineConfig))}"
                 )
 
-        self._history = RawDatabase(strict=False)
+        self._history: _History = {}
         self._history_source: "DataSource | None" = None
-        self._since_last_fit = RawDatabase(strict=False)
+        self._since_last_fit: _History = {}
         self._batches_since_fit = 0
         self._steps_completed = 0
         self._quality: SourceQualityTable | None = None
@@ -365,11 +396,15 @@ class TruthEngine:
         Accepts raw triples, any :class:`~repro.io.base.DataSource`, or a
         dataset-catalog key / file path.  Returns the number of genuinely
         new triples added (duplicates are dropped).  Call :meth:`fit`
-        afterwards to learn from the accumulated history.
+        afterwards to learn from the accumulated history.  A malformed row
+        raises :class:`~repro.exceptions.DataModelError` and adds nothing.
         """
         if _is_source_like(triples):
             triples = _source_triples(triples)
-        return self._history.extend(triples)
+        incoming = dict.fromkeys(_history_rows(triples))
+        before = len(self._history)
+        self._history.update(incoming)
+        return len(self._history) - before
 
     def fit(
         self,
@@ -448,12 +483,14 @@ class TruthEngine:
             corpus = None
         else:
             if data is None:
-                corpus = self._combined_history()
+                history = self._combined_history()
             else:
+                history = dict.fromkeys(_history_rows(data))
                 self._reset_state()
-                self._history.extend(data)
-                corpus = self._history
-            corpus.require_non_empty()
+                self._history = history
+            if not history:
+                raise EmptyDatasetError("the raw database contains no triples")
+            corpus = list(history)
             claims = build_claim_matrix(corpus, strict=False)
 
         started = time.perf_counter()
@@ -519,7 +556,7 @@ class TruthEngine:
                 flip_fraction=flip_fraction,
             )
 
-    def _combined_history(self) -> RawDatabase:
+    def _combined_history(self) -> _History:
         """Everything seen so far: the fitted source (if any) plus batches.
 
         When the engine was fitted on a streaming source, cumulative
@@ -529,9 +566,8 @@ class TruthEngine:
         """
         if self._history_source is None:
             return self._history
-        combined = RawDatabase(strict=False)
-        combined.extend(self._history_source.iter_triples())
-        combined.extend(self._history)
+        combined = dict.fromkeys(_history_rows(self._history_source.iter_triples()))
+        combined.update(self._history)
         return combined
 
     def _reject_sharded_solver_instance(self) -> None:
@@ -550,7 +586,7 @@ class TruthEngine:
     def _parallel_fit(
         self,
         claims: ClaimMatrix,
-        corpus: "RawDatabase | DataSource",
+        corpus: "list[tuple] | DataSource",
         priors_override: LTMPriors | None = None,
     ) -> TruthResult:
         """Fit through :mod:`repro.parallel` and realign onto ``claims``.
@@ -687,9 +723,9 @@ class TruthEngine:
 
     def _reset_state(self) -> None:
         """Drop all accumulated state ahead of a fresh fit."""
-        self._history = RawDatabase(strict=False)
+        self._history = {}
         self._history_source = None
-        self._since_last_fit = RawDatabase(strict=False)
+        self._since_last_fit = {}
         self._batches_since_fit = 0
         self._steps_completed = 0
         self._quality = None
@@ -707,7 +743,7 @@ class TruthEngine:
             self._quality = result.source_quality
         for fact in claims.facts:
             self._scores[(fact.entity, str(fact.attribute))] = float(result.scores[fact.fact_id])
-        self._since_last_fit = RawDatabase(strict=False)
+        self._since_last_fit = {}
         self._batches_since_fit = 0
 
     # -- streaming lifecycle --------------------------------------------------------
@@ -773,11 +809,13 @@ class TruthEngine:
 
         # retain_history=False bounds the engine's memory: the stream's
         # history lives in its backing store, not here.  The re-train window
-        # is still kept when periodic re-fits need it (retrain_every > 0).
-        if self.config.retain_history:
-            self._history.extend(batch.triples)
+        # is kept only when periodic re-fits read it (retrain_every > 0).
         if self.config.retain_history or self.config.retrain_every:
-            self._since_last_fit.extend(batch.triples)
+            rows = dict.fromkeys(_history_rows(batch.triples))
+            if self.config.retain_history:
+                self._history.update(rows)
+            if self.config.retrain_every:
+                self._since_last_fit.update(rows)
         self._batches_since_fit += 1
 
         obs.engine_metrics().triples_ingested.inc(len(batch), path="partial_fit")
@@ -831,9 +869,9 @@ class TruthEngine:
         """Periodic full re-fit of the streaming loop (paper Section 5.4)."""
         priors_override: LTMPriors | None = None
         if self.config.cumulative:
-            corpus = self._combined_history()
+            corpus = list(self._combined_history())
         else:
-            corpus = self._since_last_fit if len(self._since_last_fit) else self._history
+            corpus = list(self._since_last_fit or self._history)
             if self._quality is not None:
                 # Carry learned quality over as priors (Section 5.4), as soft
                 # pseudo-counts with a fixed strength of 100 virtual claims
@@ -883,7 +921,7 @@ class TruthEngine:
         # Refresh stored scores for all facts covered by the re-fit.
         for fact in matrix.facts:
             self._scores[(fact.entity, str(fact.attribute))] = float(result.scores[fact.fact_id])
-        self._since_last_fit = RawDatabase(strict=False)
+        self._since_last_fit = {}
         self._batches_since_fit = 0
 
     # -- artifacts (the repro.serving seam) -----------------------------------------

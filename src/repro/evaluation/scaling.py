@@ -9,6 +9,7 @@ subset construction, the timing loop and the regression.
 from __future__ import annotations
 
 import gc
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -89,9 +90,13 @@ def runtime_scaling_study(
 ) -> tuple[list[dict[str, float]], LinearFit]:
     """Time a method on each subset and regress runtime on the number of claims.
 
-    As in :mod:`timeit`, each timed fit runs with the garbage collector
-    paused after a full collection, so a collection pause landing in one
-    subset's fit cannot bend the runtime curve.
+    Runtimes are **CPU seconds** of this process (:func:`time.process_time`
+    around ``method.fit``), not wall-clock time: time the process spends
+    waiting for a CPU on a shared host would otherwise bend the curve.  As in
+    :mod:`timeit`, each timed fit runs with the garbage collector paused
+    after a full collection, so a collection pause landing in one subset's
+    fit cannot bend it either.  CPU time spent in worker processes a method
+    may start is not counted.
 
     Parameters
     ----------
@@ -107,7 +112,8 @@ def runtime_scaling_study(
     -------
     (measurements, fit):
         ``measurements`` is one dict per subset with the number of entities,
-        facts, claims and the median runtime; ``fit`` is the linear
+        facts, claims and the median runtime in CPU seconds
+        (``runtime_seconds``); ``fit`` is the linear
         regression of runtime on claims (Figure 6's regression line).
     """
     if repeats <= 0:
@@ -124,11 +130,12 @@ def runtime_scaling_study(
             gc_was_enabled = gc.isenabled()
             gc.disable()
             try:
-                result = method.fit(subset)
+                started = time.process_time()
+                method.fit(subset)
+                times.append(time.process_time() - started)
             finally:
                 if gc_was_enabled:
                     gc.enable()
-            times.append(result.runtime_seconds)
     measurements = [
         {
             "entities": float(subset.num_entities),

@@ -1,8 +1,8 @@
 """Disk-backed, append-only claim store with indexed entity scans.
 
 This is the out-of-core tier of the storage engine: the in-memory
-:class:`~repro.store.Table`/:class:`~repro.store.HashIndex` substrate holds a
-working set, :class:`ClaimStore` holds the corpus.  Triples land in an
+:class:`~repro.store.Table` substrate holds a working set,
+:class:`ClaimStore` holds the corpus.  Triples land in an
 append-only ``claims`` log (one *generation* per ``append`` call) with
 covering indexes on entity and source, so the two access patterns the LTM
 pipeline needs —

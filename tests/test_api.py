@@ -546,6 +546,29 @@ class TestIngest:
         assert lookup.status == 200
         assert lookup.json()["facts"][0]["attribute"] == "Someone"
 
+    def test_ingest_writer_keeps_no_history(self, ltm_artifact):
+        """The writer never re-fits, so it keeps none of the triples it scores."""
+        app = make_app(ltm_artifact)
+        before = fetch(app, "GET", "/healthz").json()
+        for i in range(3):
+            response = fetch(
+                app,
+                "POST",
+                "/ingest",
+                json_body={"triples": [[f"M{i}", "a", "imdb"], [f"M{i}", "b", "netflix"]]},
+            )
+            assert response.json() == {
+                "ingested": 2,
+                "total_facts": before["artifact"]["facts"] + 2 * (i + 1),
+                "generation": before["generation"] + i + 1,
+            }
+        writer = app._writer_engine
+        assert len(writer._history) == 0
+        assert len(writer._since_last_fit) == 0
+        published = app.service.artifact.config
+        assert published.retain_history is False
+        assert published.retrain_every == 0
+
     def test_ingest_without_quality_uses_voting_fallback(self, voting_artifact):
         app = make_app(voting_artifact)
         response = fetch(

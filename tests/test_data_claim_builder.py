@@ -208,6 +208,3 @@ class TestBulkIngestParity:
         _assert_matrices_identical(
             bulk_build_claim_matrix(triples), build_claim_matrix(triples)
         )
-
-    def test_classmethod_alias(self, paper_triples, paper_claims):
-        _assert_matrices_identical(paper_claims, ClaimTableBuilder.bulk(paper_triples))

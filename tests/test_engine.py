@@ -7,9 +7,11 @@ import repro
 from repro import EngineConfig, TruthEngine, default_registry, discover
 from repro.baselines import Voting
 from repro.core.model import LatentTruthModel
-from repro.data.claim_builder import build_claim_matrix
+from repro.data.claim_builder import ClaimTableBuilder, build_claim_matrix
+from repro.data.raw import RawDatabase
+from repro.engine.config import ExecutionConfig
 from repro.engine.registry import MethodRegistry, MethodSpec
-from repro.exceptions import ConfigurationError, NotFittedError, StreamError
+from repro.exceptions import ConfigurationError, NotFittedError, ReproError, StreamError
 from repro.pipeline import run_integration
 from repro.streaming import ClaimStream
 from repro.types import Triple
@@ -218,6 +220,78 @@ class TestTruthEngine:
         engine = TruthEngine(method="ltm")
         with pytest.raises(StreamError):
             engine.partial_fit([])
+
+
+def _mixed_history_triples() -> list:
+    """Triples with conflicts and duplicates, as a mix of ``Triple`` and tuples."""
+    base = _triples_for(6, good_sources=4)
+    rows = [t if i % 2 else t.as_tuple() for i, t in enumerate(base)]
+    rows += [("e1", "junk_1", "good0"), Triple("e3", "alt_3", "good2"),
+             ("e3", "alt_3", "spammer")]
+    rows += [base[0].as_tuple(), base[5], ("e1", "junk_1", "good0")]
+    return rows
+
+
+def _assert_same_matrix(left, right):
+    assert left.facts == right.facts
+    assert list(left.source_names) == list(right.source_names)
+    np.testing.assert_array_equal(left.claim_fact, right.claim_fact)
+    np.testing.assert_array_equal(left.claim_source, right.claim_source)
+    np.testing.assert_array_equal(left.claim_obs, right.claim_obs)
+
+
+class TestEngineHistory:
+    """The engine's history is the raw database of Definition 1: first-seen
+    order, exact duplicates dropped, whatever the row type."""
+
+    def test_ingest_counts_only_new_triples(self):
+        rows = _mixed_history_triples()
+        engine = TruthEngine(method="voting")
+        assert engine.ingest(rows[:10]) == 10
+        assert engine.ingest(rows) == len(rows) - 10 - 3
+        assert engine.ingest([Triple(*r) if isinstance(r, tuple) else r for r in rows]) == 0
+
+    def test_claim_matrix_matches_raw_database(self):
+        rows = _mixed_history_triples()
+        reference = ClaimTableBuilder(RawDatabase(rows, strict=False)).build()
+        ingested = TruthEngine(method="voting")
+        ingested.ingest(rows)
+        _assert_same_matrix(ingested.fit().claims(), reference)
+        _assert_same_matrix(TruthEngine(method="voting").fit(rows).claims(), reference)
+
+    def test_two_shard_serial_fit_scores_are_pinned(self):
+        engine = TruthEngine(EngineConfig(
+            method="ltm",
+            params={"iterations": 30, "seed": 5},
+            execution=ExecutionConfig(num_shards=2, backend="serial"),
+        ))
+        engine.fit(_mixed_history_triples())
+        # Pinned from the RawDatabase-backed history: the history's order
+        # decides the shard plan, and the plan decides the scores.
+        high, low = 0.9999998720320362, 0.11986630244898433
+        assert engine.predict_proba().tolist() == [
+            high, low, high, 0.9272402697245906, high, low, high, low,
+            high, low, high, low, 0.9477579355884976,
+        ]
+
+    @pytest.mark.parametrize(
+        "bad", [("e", "a", "s", "extra"), ("e", "a"), 7], ids=["four", "two", "int"]
+    )
+    def test_malformed_row_is_typed_and_adds_nothing(self, bad):
+        engine = TruthEngine(method="voting")
+        engine.ingest(_triples_for(2))
+        before = list(engine._history)
+        with pytest.raises(ReproError, match="expected \\(entity, attribute, source\\)"):
+            engine.ingest([("e9", "a", "s"), bad])
+        with pytest.raises(ReproError):
+            engine.fit([("e9", "a", "s"), bad])
+        assert list(engine._history) == before
+
+    def test_retrain_window_only_kept_for_periodic_refits(self):
+        engine = TruthEngine(method="voting", retrain_every=0)
+        engine.partial_fit(_triples_for(3))
+        assert len(engine._since_last_fit) == 0
+        assert len(engine._history) == len(_triples_for(3))
 
 
 class TestDiscover:
