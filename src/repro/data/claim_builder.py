@@ -31,9 +31,9 @@ import numpy as np
 from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.data.raw import RawDatabase
 from repro.data.records import Fact
-from repro.exceptions import DataModelError, DuplicateRowError, EmptyDatasetError
+from repro.exceptions import DuplicateRowError, EmptyDatasetError
 from repro.store import Column, Schema, Table
-from repro.types import AttributeValue, EntityKey, FactId, SourceName, Triple
+from repro.types import AttributeValue, EntityKey, FactId, SourceName, Triple, triple_columns
 
 __all__ = [
     "ClaimTableBuilder",
@@ -202,8 +202,10 @@ def bulk_build_claim_matrix(
     Parameters
     ----------
     triples:
-        Raw assertion triples (``Triple`` objects or plain 3-tuples) or an
-        existing :class:`~repro.data.raw.RawDatabase`.
+        Raw assertion triples (``Triple`` objects or any other
+        3-sequences) or an existing :class:`~repro.data.raw.RawDatabase`.
+        A row that breaks the row rule of :func:`repro.types.triple_columns`
+        raises :class:`~repro.exceptions.DataModelError`.
     strict:
         When true, exact duplicate triples raise
         :class:`~repro.exceptions.DuplicateRowError` (mirroring
@@ -211,30 +213,9 @@ def bulk_build_claim_matrix(
     """
     if isinstance(triples, RawDatabase):
         strict = False  # a RawDatabase is already de-duplicated
-    rows = triples if isinstance(triples, (list, tuple)) else list(triples)
-    if not rows:
+    entities, attributes, src_col = triple_columns(triples)
+    if not entities:
         raise EmptyDatasetError("the raw database contains no triples")
-    try:
-        if isinstance(rows[0], Triple):
-            entities = [t.entity for t in rows]
-            attributes = [t.attribute for t in rows]
-            src_col = [t.source for t in rows]
-        else:
-            entities, attributes, src_col = zip(*rows)
-    except (AttributeError, TypeError, ValueError):
-        # Mixed Triple / tuple input (or wrong arity): normalise and
-        # validate element by element.
-        norm = []
-        for t in rows:
-            if isinstance(t, Triple):
-                norm.append(t.as_tuple())
-            elif len(t) == 3:
-                norm.append((t[0], t[1], t[2]))
-            else:
-                raise DataModelError(
-                    f"expected (entity, attribute, source) triples, got {t!r}"
-                ) from None
-        entities, attributes, src_col = zip(*norm)
 
     ent_codes, _ = _factorize_first_seen(entities)
     attr_codes, _ = _factorize_first_seen(attributes)
@@ -261,8 +242,8 @@ def bulk_build_claim_matrix(
     # triple-scan order (what the sequential builder appends).
     pos_keys = fact_of_triple * num_sources + src_codes
     uniq_pos, pos_first = np.unique(pos_keys, return_index=True)
-    if strict and len(uniq_pos) != len(rows):
-        dup = int(np.setdiff1d(np.arange(len(rows)), pos_first)[0])
+    if strict and len(uniq_pos) != len(entities):
+        dup = int(np.setdiff1d(np.arange(len(entities)), pos_first)[0])
         raise DuplicateRowError(
             f"duplicate raw triple {(entities[dup], attributes[dup], src_col[dup])!r}"
         )

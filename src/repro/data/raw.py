@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from repro.exceptions import DuplicateRowError, EmptyDatasetError
 from repro.store import Column, Schema, Table
-from repro.types import AttributeValue, EntityKey, SourceName, Triple
+from repro.types import AttributeValue, EntityKey, SourceName, Triple, as_triple
 
 __all__ = ["RawDatabase"]
 
@@ -35,7 +35,7 @@ class RawDatabase:
     ----------
     triples:
         Optional initial triples.  Each may be a :class:`~repro.types.Triple`
-        or a plain ``(entity, attribute, source)`` tuple.
+        or any other ``(entity, attribute, source)`` sequence.
     strict:
         When true (the default) inserting an exact duplicate triple raises
         :class:`~repro.exceptions.DuplicateRowError`; when false duplicates
@@ -58,14 +58,12 @@ class RawDatabase:
 
         Raises
         ------
+        DataModelError
+            If the row breaks the row rule of :func:`~repro.types.as_triple`.
         DuplicateRowError
             If the triple already exists and ``strict`` is true.
         """
-        if isinstance(triple, Triple):
-            entity, attribute, source = triple.as_tuple()
-        else:
-            entity, attribute, source = triple
-        key = (entity, attribute, source)
+        key = entity, attribute, source = as_triple(triple)
         if key in self._seen:
             if self.strict:
                 raise DuplicateRowError(f"duplicate raw triple {key!r}")
@@ -91,11 +89,7 @@ class RawDatabase:
             yield Triple(row["entity"], row["attribute"], row["source"])
 
     def __contains__(self, triple: object) -> bool:
-        if isinstance(triple, Triple):
-            return triple.as_tuple() in self._seen
-        if isinstance(triple, tuple) and len(triple) == 3:
-            return tuple(triple) in self._seen
-        return False
+        return isinstance(triple, tuple) and triple in self._seen
 
     @property
     def table(self) -> Table:

@@ -20,7 +20,7 @@ from repro.obs.config import TelemetryConfig
 __all__ = ["EngineConfig", "ExecutionConfig", "TelemetryConfig"]
 
 #: Executor backends accepted by :attr:`ExecutionConfig.backend`.
-EXECUTION_BACKENDS = ("serial", "threads", "processes")
+EXECUTION_BACKENDS = ("serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,8 @@ class ExecutionConfig:
         Number of entity shards (1 = no sharding).
     backend:
         Where shard fits run: ``"serial"`` (in-process loop — the debug /
-        reference backend), ``"threads"`` (a thread pool; best for the
-        vectorised methods that release the GIL in numpy) or
-        ``"processes"`` (a process pool; best for the Python-loop Gibbs
-        sampler).
+        reference backend) or ``"processes"`` (a process pool, one worker
+        per shard up to ``max_workers``).
     quality_sync_rounds:
         Number of post-merge quality-synchronisation rounds for
         count-mergeable methods (LTM family): each round recomputes the
@@ -53,7 +51,7 @@ class ExecutionConfig:
         posterior (Equation 3), so cross-shard sources converge to a single
         quality estimate.  0 keeps the raw per-shard scores.
     max_workers:
-        Worker cap for the threads/processes backends (``None`` = one per
+        Worker cap for the processes backend (``None`` = one per
         shard, capped by the machine).
     partition_seed:
         Seed of the entity hash-partitioning

@@ -49,7 +49,7 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -65,14 +65,13 @@ from repro.engine.config import EngineConfig
 from repro.engine.registry import MethodRegistry, default_registry
 from repro.exceptions import (
     ConfigurationError,
-    DataModelError,
     EmptyDatasetError,
     ModelError,
     NotFittedError,
     StreamError,
 )
 from repro.streaming.stream import ClaimBatch
-from repro.types import Triple
+from repro.types import Triple, triple_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.data.raw import RawDatabase
@@ -112,27 +111,11 @@ def _source_triples(data: Any) -> Iterable[Triple]:
 _History = dict[tuple[Any, Any, Any], None]
 
 
-def _history_rows(triples: Iterable[Triple | tuple]) -> Iterator[tuple[Any, Any, Any]]:
-    """Yield ``triples`` as plain ``(entity, attribute, source)`` tuples.
-
-    Raises
-    ------
-    DataModelError
-        For a row that is not exactly three fields, or has a ``None`` field.
-    """
-    for row in triples:
-        if isinstance(row, Triple):
-            entity, attribute, source = row.entity, row.attribute, row.source
-        else:
-            try:
-                entity, attribute, source = row
-            except (TypeError, ValueError):
-                raise DataModelError(
-                    f"expected (entity, attribute, source) triples, got {row!r}"
-                ) from None
-        if entity is None or attribute is None or source is None:
-            raise DataModelError(f"raw triple fields must not be None, got {row!r}")
-        yield entity, attribute, source
+def _history_of(triples: Iterable[Triple | tuple]) -> _History:
+    """``triples`` as a history, checked by the row rule (``DataModelError``)."""
+    rows = triples if isinstance(triples, (list, tuple)) else list(triples)
+    triple_columns(rows)
+    return dict.fromkeys(map(tuple, rows))
 
 
 @dataclass
@@ -401,7 +384,7 @@ class TruthEngine:
         """
         if _is_source_like(triples):
             triples = _source_triples(triples)
-        incoming = dict.fromkeys(_history_rows(triples))
+        incoming = _history_of(triples)
         before = len(self._history)
         self._history.update(incoming)
         return len(self._history) - before
@@ -485,7 +468,7 @@ class TruthEngine:
             if data is None:
                 history = self._combined_history()
             else:
-                history = dict.fromkeys(_history_rows(data))
+                history = _history_of(data)
                 self._reset_state()
                 self._history = history
             if not history:
@@ -566,7 +549,7 @@ class TruthEngine:
         """
         if self._history_source is None:
             return self._history
-        combined = dict.fromkeys(_history_rows(self._history_source.iter_triples()))
+        combined = _history_of(self._history_source.iter_triples())
         combined.update(self._history)
         return combined
 
@@ -786,9 +769,7 @@ class TruthEngine:
         if isinstance(data, ClaimBatch):
             batch = data
         else:
-            batch = ClaimBatch(index=len(self.reports), triples=tuple(
-                t if isinstance(t, Triple) else Triple(*t) for t in data
-            ))
+            batch = ClaimBatch(index=len(self.reports), triples=tuple(data))
         if len(batch) == 0:
             raise StreamError("cannot integrate an empty batch")
         batch_matrix = build_claim_matrix(batch.triples, strict=False)
@@ -811,7 +792,7 @@ class TruthEngine:
         # history lives in its backing store, not here.  The re-train window
         # is kept only when periodic re-fits read it (retrain_every > 0).
         if self.config.retain_history or self.config.retrain_every:
-            rows = dict.fromkeys(_history_rows(batch.triples))
+            rows = dict.fromkeys(map(tuple, batch.triples))
             if self.config.retain_history:
                 self._history.update(rows)
             if self.config.retrain_every:

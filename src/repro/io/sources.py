@@ -29,7 +29,7 @@ from repro.exceptions import ConfigurationError
 from repro.io.base import DataSource, SourceSchema
 from repro.store.database import Database
 from repro.store.table import Table
-from repro.types import AttributeValue, EntityKey, Triple
+from repro.types import AttributeValue, EntityKey, Triple, as_triple
 
 __all__ = [
     "MemorySource",
@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 
-def _as_triple(item: Triple | tuple) -> Triple:
-    return item if isinstance(item, Triple) else Triple(item[0], item[1], item[2])
-
-
 class MemorySource(DataSource):
     """Triples already in memory: a list, any iterable, or a ``RawDatabase``.
 
@@ -52,7 +48,9 @@ class MemorySource(DataSource):
     ----------
     triples:
         The assertions.  Non-``RawDatabase`` iterables are materialised once
-        at construction, so generators are safe.
+        at construction, so generators are safe; each row is checked by
+        :func:`~repro.types.as_triple` (a bad row raises
+        :class:`~repro.exceptions.DataModelError`).
     truth:
         Optional ``(entity, attribute) -> bool`` ground truth used by
         :meth:`to_dataset`.
@@ -69,7 +67,7 @@ class MemorySource(DataSource):
         if isinstance(triples, RawDatabase):
             self._triples: list[Triple] = list(triples)
         else:
-            self._triples = [_as_triple(t) for t in triples]
+            self._triples = list(map(as_triple, triples))
         self._truth = dict(truth) if truth is not None else None
         self._name = name
 

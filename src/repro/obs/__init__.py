@@ -97,8 +97,8 @@ _STATE: dict = {"tracer": NOOP_TRACER}
 # Worker-scoped tracer override: a shard worker (repro.parallel.executor)
 # installs its isolated collecting tracer here so the code it runs — the
 # Gibbs sampler, store reads — records into the worker's tree without
-# touching process-global state (context vars are per-thread, so the
-# threads backend is race-free).
+# touching process-global state (context vars are per-thread, so
+# concurrent callers never see each other's tracer).
 import contextvars as _contextvars
 
 _ACTIVE: _contextvars.ContextVar = _contextvars.ContextVar(

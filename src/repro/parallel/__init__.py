@@ -13,8 +13,8 @@ into one engine- and serving-compatible fit.
   entity keys alone — workers pull their triples through indexed range
   reads, so corpora never materialise in the planner;
 * :class:`~repro.parallel.executor.ParallelExecutor` — ``serial`` /
-  ``threads`` / ``processes`` backends sharing one worker, deterministic
-  for a fixed seed across backends;
+  ``processes`` backends sharing one worker, deterministic for a fixed
+  seed across backends;
 * :mod:`repro.parallel.merge` — score-parity reducers per method family
   (exact for Voting / LTMinc, synchronised-trust exact for TruthFinder,
   count-summed with quality-sync rounds for the LTM family), plus

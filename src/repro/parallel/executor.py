@@ -7,20 +7,20 @@ worker function, so a fit is **deterministic for a fixed seed across
 backends**:
 
 * ``"serial"`` — an in-process loop; the debug / reference backend.
-* ``"threads"`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; best
-  for the vectorised solvers whose heavy lifting releases the GIL in numpy.
 * ``"processes"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
-  best for the Python-loop Gibbs sampler, which the GIL serialises under
-  threads.
+  shards fit in parallel, free of the GIL that serialises the Python-loop
+  Gibbs sampler.
 
 The process handoff is deliberately *object-free*: a shard crosses the
-boundary as plain ``(entity, attribute, source)`` tuples plus a JSON-safe
-encoding of the solver hyperparameters (the same type-tagged encoding
-artifacts use), and each worker rebuilds its claim matrix through the
-vectorized bulk-ingest path (:func:`~repro.data.claim_builder.bulk_build_claim_matrix`).
-No solver, matrix or rich config object is ever pickled — and because
-*every* backend round-trips the hyperparameters through that encoding, all
-three see byte-identical inputs.
+boundary as its rows exactly as the plan holds them —
+:class:`~repro.types.Triple` tuples, which pickle like plain
+``(entity, attribute, source)`` tuples — plus a JSON-safe encoding of the
+solver hyperparameters (the same type-tagged encoding artifacts use), and
+each worker rebuilds its claim matrix through the vectorized bulk-ingest
+path (:func:`~repro.data.claim_builder.bulk_build_claim_matrix`).  No
+solver, matrix or rich config object is ever pickled — and because *both*
+backends round-trip the hyperparameters through that encoding, they see
+byte-identical inputs.
 
 Per-shard randomness is derived from one :class:`numpy.random.SeedSequence`
 spawned per shard slot, so shard seeds do not depend on which shards are
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -74,8 +74,8 @@ class ShardTask:
     strategy:
         The method's shard-merge strategy (drives what the worker returns).
     triples:
-        The shard's raw triples as plain ``(entity, attribute, source)``
-        tuples.
+        The shard's raw rows, :class:`~repro.types.Triple` or plain
+        ``(entity, attribute, source)`` tuples.
     span_context:
         The caller's open span as a plain ``{"trace_id", "span_id"}`` dict
         (``None`` when tracing is off).  Its presence tells the worker to
@@ -102,17 +102,17 @@ def fit_shard(task: ShardTask, registry: MethodRegistry | None = None) -> ShardF
     generation is entity-local, it is an exact entity-subset of the
     single-shard matrix.
 
-    ``registry`` lets the in-process backends (serial / threads) resolve
-    methods from a caller-supplied registry; process workers always resolve
-    against the shared default registry (registries do not cross the
-    process boundary).
+    ``registry`` lets the in-process ``serial`` backend resolve methods
+    from a caller-supplied registry; process workers always resolve against
+    the shared default registry (registries do not cross the process
+    boundary).
 
     For the ``trust_sync`` strategy the solver is constructed (validating
     hyperparameters) but not fitted — its iterations run cooperatively in
     the reducer — so the worker only extracts the shard's claim structure.
 
     When the task carries a ``span_context`` (or an enabled tracer is
-    ambient — the serial / threads backends), the fit runs under a
+    ambient — the serial backend), the fit runs under a
     worker-isolated tracer: its ``shard.fit`` span and everything recorded
     beneath it (chunked Gibbs sweeps) come back on
     :attr:`~repro.parallel.merge.ShardFit.spans` as plain dicts for the
@@ -133,7 +133,7 @@ def fit_shard(task: ShardTask, registry: MethodRegistry | None = None) -> ShardF
 
 
 def _fit_shard_impl(task: ShardTask, registry: MethodRegistry | None) -> ShardFit:
-    matrix = bulk_build_claim_matrix(list(task.triples))
+    matrix = bulk_build_claim_matrix(task.triples)
     params = {key: _decode_param(value) for key, value in dict(task.params).items()}
     if task.seed is not None:
         params["seed"] = int(task.seed)
@@ -213,9 +213,7 @@ def fit_shard_range(task: RangeShardTask, registry: MethodRegistry | None = None
     from repro.store.claims import ClaimStore
 
     with ClaimStore(task.store_path, read_only=True) as store:
-        triples = tuple(
-            triple.as_tuple() for triple in store.entity_triples(list(task.entities))
-        )
+        triples = tuple(store.entity_triples(list(task.entities)))
     return fit_shard(
         ShardTask(
             index=task.index,
@@ -246,8 +244,7 @@ class ParallelExecutor:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"threads"`` or ``"processes"`` (see module
-        docstring).
+        ``"serial"`` or ``"processes"`` (see module docstring).
     max_workers:
         Worker cap for the pool backends; defaults to
         ``min(num_tasks, cpu_count)``.
@@ -342,7 +339,7 @@ class ParallelExecutor:
                 raise ConfigurationError(
                     f"method {spec.key!r} is not resolvable from the shared "
                     f"default registry; custom-registry methods shard only on "
-                    f"the 'serial' and 'threads' backends"
+                    f"the 'serial' backend"
                 )
         params = dict(params or {})
         encoded = {key: _encode_param(value) for key, value in params.items()}
@@ -377,7 +374,7 @@ class ParallelExecutor:
                     params=encoded,
                     seed=seeds[shard.index],
                     strategy=spec.shard_strategy,
-                    triples=tuple(triple.as_tuple() for triple in shard.triples),
+                    triples=shard.triples,
                     span_context=context,
                 )
                 for shard in plan.non_empty()
@@ -415,9 +412,6 @@ class ParallelExecutor:
         if workers is None:
             workers = min(len(tasks), os.cpu_count() or 1)
         workers = min(workers, len(tasks))
-        if self.backend == "threads":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda task: _fit_task(task, registry=registry), tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_fit_task, tasks))
 

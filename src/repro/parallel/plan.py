@@ -20,6 +20,7 @@ fitted in one shard.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -199,30 +200,28 @@ class ShardPlanner:
         key = entity if self.group_of is None else self.group_of(entity)
         return entity_partition_key(key, seed=self.seed) % self.num_shards
 
-    def plan(self, data: Any, batch_size: int = 1024) -> ShardPlan:
+    def plan(self, data: Any) -> ShardPlan:
         """Partition ``data`` into a :class:`ShardPlan`.
 
         ``data`` is anything :func:`repro.io.as_source` accepts — a
         :class:`~repro.io.DataSource`, a catalog key, a file path, a
         :class:`~repro.data.raw.RawDatabase` or a plain triple iterable.
-        The source is consumed through
-        :meth:`~repro.io.DataSource.iter_batches` in entity-grouped mode, so
-        each entity's triples arrive (and are stored) contiguously and the
-        full corpus is only ever traversed once.
+        One pass over :meth:`~repro.io.DataSource.iter_triples` groups the
+        triples by entity; each entity is then hashed once and its triples
+        are stored contiguously in its shard.  Within a shard, entities keep
+        first-seen order and each entity's triples keep source order.
         """
         from repro.io.catalog import as_source
 
-        source = as_source(data)
+        by_entity: defaultdict[EntityKey, list[Triple]] = defaultdict(list)
+        for triple in as_source(data).iter_triples():
+            by_entity[triple.entity].append(triple)
         triples: list[list[Triple]] = [[] for _ in range(self.num_shards)]
         entities: list[list[EntityKey]] = [[] for _ in range(self.num_shards)]
-        seen: set[EntityKey] = set()
-        for batch in source.iter_batches(batch_size, by_entity=True):
-            for triple in batch.triples:
-                shard = self.shard_of(triple.entity)
-                if triple.entity not in seen:
-                    seen.add(triple.entity)
-                    entities[shard].append(triple.entity)
-                triples[shard].append(triple)
+        for entity, rows in by_entity.items():
+            shard = self.shard_of(entity)
+            entities[shard].append(entity)
+            triples[shard].extend(rows)
         return ShardPlan(
             num_shards=self.num_shards,
             partition_seed=self.seed,

@@ -64,7 +64,7 @@ __all__ = [
 
 #: Current artifact schema version.  Bump when the manifest layout or the
 #: array set changes, and register a migration for the old version.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
@@ -115,6 +115,22 @@ def _drop_kernel_param(manifest: dict) -> dict:
 
 
 register_migration(1, _drop_kernel_param)
+
+
+def _drop_threads_backend(manifest: dict) -> dict:
+    """Schema 2 -> 3: the removed ``threads`` backend loads as ``serial``.
+
+    Both gave identical scores; ``threads`` only ran slower.
+    """
+    config = manifest.get("config")
+    execution = config.get("execution") if isinstance(config, dict) else None
+    if isinstance(execution, dict) and execution.get("backend") == "threads":
+        execution["backend"] = "serial"
+    manifest["schema_version"] = 3
+    return manifest
+
+
+register_migration(2, _drop_threads_backend)
 
 
 def _migrate(manifest: dict) -> dict:

@@ -24,13 +24,14 @@ the store that owns it; raw connection handling lives in
 from __future__ import annotations
 
 import time
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import StoreError
 from repro.obs import engine_metrics, get_tracer
 from repro.store.backend import DEFAULT_CHUNK_ROWS, SQLiteBackend, StorageBackend
-from repro.types import EntityKey, Triple
+from repro.types import EntityKey, Triple, triple_columns
 
 __all__ = ["ClaimStore", "SCHEMA_VERSION"]
 
@@ -177,7 +178,8 @@ class ClaimStore:
         arbitrarily large corpus never materialises.  Duplicate triples are
         kept (the log records assertions; claim-matrix construction dedups),
         and attribute values are stringified exactly as the CSV round-trip
-        does.
+        does.  A row breaking the row rule (:func:`~repro.types.as_triple`)
+        raises ``DataModelError`` and rolls the whole call back.
         """
         if self.read_only:
             raise StoreError(f"claim store {self.path!r} is read-only")
@@ -197,28 +199,18 @@ class ClaimStore:
         entity_sql = (
             "INSERT OR IGNORE INTO entities (entity, first_seq) VALUES (?, ?)"
         )
+        rows = iter(triples)
         with self._backend.transaction() as txn:
-            buffer: list[tuple] = []
-            entity_buffer: list[tuple] = []
-            for item in triples:
-                if isinstance(item, Triple):
-                    entity, attribute, source = item.entity, item.attribute, item.source
-                else:
-                    entity, attribute, source = item
-                seq = next_seq + appended
-                buffer.append(
-                    (seq, str(entity), str(attribute), str(source), generation, now)
-                )
-                entity_buffer.append((str(entity), seq))
-                appended += 1
-                if len(buffer) >= batch_size:
-                    txn.executemany(insert_sql, buffer)
-                    txn.executemany(entity_sql, entity_buffer)
-                    buffer.clear()
-                    entity_buffer.clear()
-            if buffer:
-                txn.executemany(insert_sql, buffer)
-                txn.executemany(entity_sql, entity_buffer)
+            while chunk := list(islice(rows, batch_size)):
+                entities, attributes, sources = triple_columns(chunk)
+                entities = list(map(str, entities))
+                seqs = range(next_seq + appended, next_seq + appended + len(chunk))
+                txn.executemany(insert_sql, zip(
+                    seqs, entities, map(str, attributes), map(str, sources),
+                    repeat(generation), repeat(now),
+                ))
+                txn.executemany(entity_sql, zip(entities, seqs))
+                appended += len(chunk)
         metrics = engine_metrics()
         metrics.store_rows.inc(appended, op="append")
         metrics.store_op_seconds.observe(time.perf_counter() - started, op="append")
@@ -249,11 +241,10 @@ class ClaimStore:
 
     def iter_triples(self, *, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Triple]:
         """Replay the log in ingest (``seq``) order, streaming in chunks."""
-        for entity, attribute, source in self._backend.iter_rows(
-            "SELECT entity, attribute, source FROM claims ORDER BY seq",
-            chunk_rows=chunk_size,
-        ):
-            yield Triple(entity=entity, attribute=attribute, source=source)
+        rows = self._backend.iter_rows(
+            "SELECT entity, attribute, source FROM claims ORDER BY seq", chunk_rows=chunk_size
+        )
+        return map(Triple._make, rows)
 
     def iter_entities(self, *, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[EntityKey]:
         """Stream distinct entities in first-seen order (covering index scan)."""
@@ -269,14 +260,11 @@ class ClaimStore:
 
     def triples_of(self, entity: EntityKey) -> list[Triple]:
         """All claims about one entity, in ingest order (index range read)."""
-        return [
-            Triple(entity=row[0], attribute=row[1], source=row[2])
-            for row in self._backend.iter_rows(
-                "SELECT entity, attribute, source FROM claims"
-                " WHERE entity = ? ORDER BY seq",
-                (str(entity),),
-            )
-        ]
+        rows = self._backend.iter_rows(
+            "SELECT entity, attribute, source FROM claims WHERE entity = ? ORDER BY seq",
+            (str(entity),),
+        )
+        return list(map(Triple._make, rows))
 
     def entity_triples(self, entities: Sequence[EntityKey]) -> list[Triple]:
         """Claims for a shard's entity list, grouped per entity.
@@ -285,10 +273,7 @@ class ClaimStore:
         concatenation order follows the given ``entities`` order, matching
         how the in-memory planner lays out a shard's triples.
         """
-        rows: list[Triple] = []
-        for entity in entities:
-            rows.extend(self.triples_of(entity))
-        return rows
+        return [triple for entity in entities for triple in self.triples_of(entity)]
 
     def generations(self) -> list[Mapping[str, object]]:
         """Per-generation row counts and ingest timestamps, oldest first."""

@@ -35,7 +35,8 @@ class ClaimBatch:
     index:
         Zero-based batch sequence number.
     triples:
-        The raw triples in the batch.
+        The raw rows in the batch: :class:`~repro.types.Triple` or any other
+        ``(entity, attribute, source)`` sequence.
     """
 
     index: int
@@ -44,10 +45,7 @@ class ClaimBatch:
     @property
     def entities(self) -> list[str]:
         """Distinct entities mentioned in the batch, in first-seen order."""
-        seen: dict[str, None] = {}
-        for triple in self.triples:
-            seen.setdefault(triple.entity, None)
-        return list(seen)
+        return list(dict.fromkeys(row[0] for row in self.triples))
 
     def __len__(self) -> int:
         return len(self.triples)

@@ -8,8 +8,10 @@ subpackage agrees on what those objects look like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from operator import itemgetter
+from typing import Any, Iterable, NamedTuple, Union
+
+from repro.exceptions import DataModelError
 
 __all__ = [
     "EntityKey",
@@ -20,6 +22,8 @@ __all__ = [
     "Observation",
     "TruthLabel",
     "Triple",
+    "as_triple",
+    "triple_columns",
 ]
 
 # An entity key identifies the real-world object a fact is about, e.g. a book
@@ -48,12 +52,13 @@ Observation = bool
 TruthLabel = bool
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     """One row of the raw input database: ``(entity, attribute, source)``.
 
     This mirrors Definition 1 of the paper: each row states that ``source``
-    asserted that ``entity`` has attribute value ``attribute``.
+    asserted that ``entity`` has attribute value ``attribute``.  It unpacks,
+    hashes, compares and pickles like the plain tuple, so every entry point
+    accepts either form under one row rule (:func:`as_triple`).
 
     Attributes
     ----------
@@ -72,4 +77,41 @@ class Triple:
 
     def as_tuple(self) -> tuple[EntityKey, AttributeValue, SourceName]:
         """Return the triple as a plain ``(entity, attribute, source)`` tuple."""
-        return (self.entity, self.attribute, self.source)
+        return tuple(self)
+
+
+def as_triple(row: Any) -> Triple:
+    """The row rule, per row: ``row`` as a ``Triple``, or ``DataModelError``.
+
+    A raw row is a ``Triple`` or any other sequence of exactly three
+    fields, none of them ``None``.
+    """
+    try:
+        triple = Triple._make(row)
+    except TypeError:
+        raise DataModelError(f"expected (entity, attribute, source) triples, got {row!r}") from None
+    if None in triple:
+        raise DataModelError(f"raw triple fields must not be None, got {row!r}")
+    return triple
+
+
+def triple_columns(rows: Iterable[Any]) -> tuple[list, list, list]:
+    """The row rule, by columns: ``(entities, attributes, sources)`` of ``rows``.
+
+    The checks of :func:`as_triple` run as C-level passes over the whole
+    block, with no object built per row; a bad row raises
+    ``DataModelError`` naming the first offender.
+    """
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    if not rows:
+        return [], [], []
+    try:
+        if set(map(len, rows)) == {3}:
+            columns = tuple(list(map(itemgetter(i), rows)) for i in range(3))
+            if not any(None in column for column in columns):
+                return columns  # type: ignore[return-value]
+    except (TypeError, LookupError):
+        pass
+    for row in rows:  # bad input only: name the first offending row
+        as_triple(row)
+    raise DataModelError("expected (entity, attribute, source) triples that support indexing")

@@ -261,7 +261,7 @@ class TestEngineOutOfCore:
         sharded = TruthEngine(
             EngineConfig(
                 method="voting",
-                execution=ExecutionConfig(num_shards=3, backend="threads"),
+                execution=ExecutionConfig(num_shards=3, backend="processes"),
             )
         )
         sharded.fit(f"store://{quality_store}")

@@ -150,7 +150,7 @@ class TestEngineFitSpans:
 # ---------------------------------------------------------------------------
 # sharded fits: one merged tree across workers
 # ---------------------------------------------------------------------------
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
 
 
 class TestShardedSpans:

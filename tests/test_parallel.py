@@ -9,7 +9,7 @@ The contract pinned here (see ISSUE 5 / README "Scaling out"):
 * sampled LTM is statistically equivalent (pinned AUC tolerance on the LTM
   generative workload) with one globally consistent quality table;
 * results are deterministic for a fixed seed **across backends**
-  (serial / threads / processes);
+  (serial / processes);
 * the merged artifact set round-trips through
   :class:`~repro.serving.TruthService` with identical query results;
 * clustered entities co-locate, and scaling curves built from sharded runs
@@ -257,7 +257,7 @@ class TestBackendDeterminism:
     ])
     def test_backends_agree_bitwise(self, method, params):
         reference = None
-        for backend in ("serial", "threads", "processes"):
+        for backend in ("serial", "processes"):
             engine = _sharded(method, backend=backend, **params).fit("books_small")
             scores = engine.predict_proba()
             if reference is None:
@@ -327,7 +327,7 @@ class TestEngineIntegration:
                 method="ltm",
                 params={"iterations": 15, "seed": 2},
                 retrain_every=1,
-                execution=ExecutionConfig(num_shards=2, backend="threads"),
+                execution=ExecutionConfig(num_shards=2, backend="processes"),
             )
         )
         source = MemorySource(
@@ -374,19 +374,18 @@ class TestEngineIntegration:
         registry.register_method(
             "myvote", Voting, "custom voting", shard_strategy="local"
         )
-        for backend in ("serial", "threads"):
-            engine = TruthEngine(
-                EngineConfig(
-                    method="myvote",
-                    execution=ExecutionConfig(num_shards=3, backend=backend),
-                ),
-                registry=registry,
-            ).fit("paper_example")
-            reference = TruthEngine(method="voting").fit("paper_example")
-            np.testing.assert_array_equal(
-                _aligned_scores(engine, reference), reference.predict_proba()
-            )
-        with pytest.raises(ConfigurationError, match="serial.*threads|default registry"):
+        engine = TruthEngine(
+            EngineConfig(
+                method="myvote",
+                execution=ExecutionConfig(num_shards=3, backend="serial"),
+            ),
+            registry=registry,
+        ).fit("paper_example")
+        reference = TruthEngine(method="voting").fit("paper_example")
+        np.testing.assert_array_equal(
+            _aligned_scores(engine, reference), reference.predict_proba()
+        )
+        with pytest.raises(ConfigurationError, match="default registry"):
             TruthEngine(
                 EngineConfig(
                     method="myvote",
@@ -420,7 +419,7 @@ class TestExecutionConfig:
         assert coerced.execution == ExecutionConfig(num_shards=3)
 
     def test_execution_survives_artifact_round_trip(self, tmp_path):
-        engine = _sharded("voting", num_shards=2, backend="threads").fit("paper_example")
+        engine = _sharded("voting", num_shards=2, backend="processes").fit("paper_example")
         path = engine.save(tmp_path / "artifact")
         restored = TruthEngine.load(path)
         assert restored.config.execution == engine.config.execution
@@ -595,7 +594,7 @@ class TestKeyShardPlans:
         with pytest.raises(ConfigurationError, match="plan_keys"):
             ShardPlanner(2).plan_keys(MemorySource([("e", "a", "s")]))
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_range_fit_is_score_identical_to_eager_fit(self, store_path, backend):
         planner = ShardPlanner(3, seed=1)
         keyed = planner.plan_keys(f"store://{store_path}")

@@ -242,7 +242,7 @@ class TestStoreCli:
         capsys.readouterr()
         code = main(
             ["integrate", "--source", f"store://{db}", "--method", "voting",
-             "--shards", "2", "--backend", "threads"]
+             "--shards", "2", "--backend", "processes"]
         )
         assert code == 0
         out = capsys.readouterr().out

@@ -22,7 +22,7 @@ import pytest
 
 from repro import cli
 from repro.core.priors import LTMPriors
-from repro.engine import EngineConfig, TruthEngine
+from repro.engine import EngineConfig, ExecutionConfig, TruthEngine
 from repro.exceptions import (
     ArtifactError,
     ArtifactVersionWarning,
@@ -213,7 +213,7 @@ def test_migration_hook_upgrades_old_artifacts(tmp_path):
         artifact_module._MIGRATIONS.pop(0, None)
     assert restored.name == "migrated-v0"
     assert restored.num_facts == 5
-    assert restored.schema_version == SCHEMA_VERSION == 2
+    assert restored.schema_version == SCHEMA_VERSION == 3
 
     # Registering forwards or twice is rejected.
     with pytest.raises(ArtifactError):
@@ -241,6 +241,25 @@ def test_v1_artifact_with_kernel_param_loads_serves_and_refits(tmp_path):
         assert service.truth_of(entity, attribute) == score
 
     refit = TruthEngine.load(path).fit("paper_example")
+    assert refit.fact_scores == engine.fact_scores
+
+
+def test_v2_artifact_with_threads_backend_loads_as_serial(tmp_path):
+    # Schema-2 artifacts may record the removed ``threads`` shard backend;
+    # the 2 -> 3 migration maps it to ``serial`` (identical scores).
+    execution = ExecutionConfig(num_shards=2, backend="serial")
+    engine = TruthEngine(method="voting", execution=execution).fit("paper_example")
+    path = engine.save(tmp_path / "artifact")
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest["schema_version"] = 2
+    manifest["config"]["execution"]["backend"] = "threads"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+    restored = TruthEngine.load(path)
+    assert restored.config.execution == execution
+    assert restored.fact_scores == engine.fact_scores
+    refit = restored.fit("paper_example")
     assert refit.fact_scores == engine.fact_scores
 
 
