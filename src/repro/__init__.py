@@ -145,7 +145,7 @@ from repro.parallel import (
 from repro.serving import TruthArtifact, TruthService, load_artifact, serve
 from repro.api import APIServer, ASGIClient, TruthAPI, create_app
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",

@@ -32,11 +32,12 @@ Quickstart::
 from repro.api.app import Request, Response, TruthAPI, create_app
 from repro.api.codec import canonical_json, encode_json, fact_row
 from repro.api.idempotency import IdempotencyCache
-from repro.api.observability import MetricsRegistry, RequestLogger, new_request_id
+from repro.api.observability import RequestLogger, new_request_id
 from repro.api.rate_limit import RateLimiter
 from repro.api.routing import Router
 from repro.api.server import APIServer
 from repro.api.testing import ASGIClient
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "TruthAPI",

@@ -36,8 +36,8 @@ Operational behaviour:
   ``Idempotency-Replay: true``; key reuse with a different body is a 409.
 * **observability** — every request gets an ``X-Request-Id`` (propagated
   from the client when supplied) and one structured JSON log line
-  (:mod:`repro.api.observability`); counters and latency histograms are
-  exposed at ``/metrics``.
+  (:mod:`repro.api.observability`); counters and latency histograms
+  (:mod:`repro.obs.metrics`) are exposed at ``/metrics``.
 * **hot swap** — ``/ingest`` and ``/refresh`` republish through the atomic
   :meth:`TruthService.refresh`; readers racing a swap see the old or the new
   snapshot in full, never a mixture, and the snapshot generation counter is
@@ -60,13 +60,9 @@ from typing import Any, Awaitable, Callable, Iterable, Mapping
 
 from repro.api.codec import canonical_json, encode_json, fact_row
 from repro.api.idempotency import IdempotencyCache, body_digest
-from repro.api.observability import (
-    MetricsRegistry,
-    RequestLogger,
-    new_request_id,
-)
+from repro.api.observability import RequestLogger, new_request_id
 from repro.api.rate_limit import RateLimiter
-from repro.obs.metrics import global_registry
+from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.api.routing import MethodNotAllowed, NotFound, Router
 from repro.exceptions import (
     ArtifactError,
@@ -516,6 +512,8 @@ class TruthAPI:
         if not ranked:
             raise HTTPError(404, "unknown_entity", f"no stored facts for {entity!r}")
         top = _int_query(request.query, "top", len(ranked))
+        if top < 0:
+            raise HTTPError(400, "invalid_query", "query parameter 'top' must be >= 0")
         facts = [fact_row(entity, attr, score, threshold) for attr, score in ranked[:top]]
         return Response.json(200, {"entity": entity, "facts": facts, "count": len(facts)})
 

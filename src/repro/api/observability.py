@@ -1,6 +1,6 @@
-"""Request observability: structured logs, request ids, Prometheus metrics.
+"""Request observability: request ids and structured request logs.
 
-Three small pieces, dependency-free:
+Two small pieces, dependency-free:
 
 * :func:`new_request_id` — 16-hex-char request ids; the API honours an
   incoming ``X-Request-Id`` header (so ids propagate through proxies) and
@@ -10,18 +10,10 @@ Three small pieces, dependency-free:
   duration, client, body size), machine-parseable by construction because it
   goes through the same :func:`repro.api.codec.canonical_json` as the API's
   response bodies.
-* :class:`MetricsRegistry` — counters / gauges / histograms with label
-  support, rendered in the Prometheus text exposition format (version
-  0.0.4) by :meth:`MetricsRegistry.render`; backs ``GET /metrics``.
 
-The metric primitives (:class:`Counter`, :class:`Gauge`, :class:`Histogram`,
-:class:`MetricsRegistry`) live in :mod:`repro.obs.metrics` — the process-wide
-metrics home shared with the engine, shard executor, claim store and serving
-layers — and are re-exported here unchanged so existing API imports keep
-working.
-
-Metric label values are always *route patterns* (``/truth/{entity}``), never
-raw paths, so cardinality is bounded by the route table.
+The ``GET /metrics`` primitives live in :mod:`repro.obs.metrics`.  Metric
+label values are always *route patterns* (``/truth/{entity}``), never raw
+paths, so cardinality is bounded by the route table.
 """
 
 from __future__ import annotations
@@ -32,26 +24,8 @@ import time
 from typing import Callable
 
 from repro.api.codec import canonical_json
-from repro.obs.metrics import (  # noqa: F401 — re-exported for compatibility
-    Counter,
-    Gauge,
-    Histogram,
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    _format_value,
-    _label_key,
-    _render_labels,
-)
 
-__all__ = [
-    "new_request_id",
-    "RequestLogger",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "LATENCY_BUCKETS",
-]
+__all__ = ["new_request_id", "RequestLogger"]
 
 
 def new_request_id() -> str:

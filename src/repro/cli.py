@@ -50,7 +50,6 @@ from typing import Sequence
 
 from repro.data.claim_builder import build_dataset
 from repro.data.loaders import load_labels_csv, load_triples_csv, save_triples_csv
-from repro.engine.facade import discover
 from repro.engine.registry import default_registry, method_suite
 from repro.evaluation.comparison import compare_methods
 from repro.exceptions import (
@@ -61,6 +60,7 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.io.catalog import as_source, default_catalog
+from repro.pipeline.integrate import run_integration
 from repro.pipeline.report import (
     format_integration_summary,
     format_merged_records,
@@ -411,20 +411,13 @@ def _integrate(args: argparse.Namespace) -> int:
             # a local file named like a catalog key still means the file.
             path = Path(args.input)
             source = as_source(path) if path.exists() else as_source(args.input)
-        if execution is not None:
-            # Entity-sharded run through repro.parallel (run_integration
-            # routes the fit through the engine's executor path).
-            from repro.pipeline.integrate import run_integration
-
-            result = run_integration(
-                source,
-                method=args.method,
-                threshold=args.threshold,
-                execution=execution,
-                **params,
-            )
-        else:
-            result = discover(source, method=args.method, threshold=args.threshold, **params)
+        result = run_integration(
+            source,
+            method=args.method,
+            threshold=args.threshold,
+            execution=execution,
+            **params,
+        )
     except (ConfigurationError, DataModelError, EmptyDatasetError, StoreError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

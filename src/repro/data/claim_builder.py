@@ -14,8 +14,8 @@ numpy encoding consumed by every solver.
 
 Two construction paths produce identical matrices:
 
-* :class:`ClaimTableBuilder` — the row-at-a-time reference implementation,
-  which can also materialise the relational fact/claim tables;
+* :class:`ClaimTableBuilder` — the row-at-a-time reference implementation
+  over a :class:`~repro.data.raw.RawDatabase`;
 * :func:`bulk_build_claim_matrix` — a vectorized path that factorizes the
   entity / attribute / source columns with numpy instead of per-triple
   appends, used by :func:`build_claim_matrix` (and hence the engine and the
@@ -32,7 +32,6 @@ from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.data.raw import RawDatabase
 from repro.data.records import Fact
 from repro.exceptions import DuplicateRowError, EmptyDatasetError
-from repro.store import Column, Schema, Table
 from repro.types import AttributeValue, EntityKey, FactId, SourceName, Triple, triple_columns
 
 __all__ = [
@@ -44,7 +43,7 @@ __all__ = [
 
 
 class ClaimTableBuilder:
-    """Builds fact and claim tables (and relational views of them) from raw triples.
+    """Builds the fact and claim tables from raw triples, one row at a time.
 
     Parameters
     ----------
@@ -121,42 +120,6 @@ class ClaimTableBuilder:
             claim_source=np.asarray(self._claim_source, dtype=np.int64),
             claim_obs=np.asarray(self._claim_obs, dtype=np.int8),
         )
-
-    # -- relational views -----------------------------------------------------------
-    def fact_table(self) -> Table:
-        """The fact table (Definition 2 / paper Table 2) as a relational table."""
-        if not self._built:
-            self.build()
-        schema = Schema(
-            columns=(Column("fact_id", int), Column("entity", object), Column("attribute", object)),
-            key=("fact_id",),
-        )
-        table = Table("facts", schema)
-        for fact in self._facts:
-            table.insert({"fact_id": fact.fact_id, "entity": fact.entity, "attribute": fact.attribute})
-        return table
-
-    def claim_table(self) -> Table:
-        """The claim table (Definition 3 / paper Table 3) as a relational table."""
-        matrix = self.build()
-        schema = Schema(
-            columns=(
-                Column("fact_id", int),
-                Column("source", object),
-                Column("observation", bool),
-            ),
-            key=("fact_id", "source"),
-        )
-        table = Table("claims", schema)
-        for fact_id, source_id, obs in zip(matrix.claim_fact, matrix.claim_source, matrix.claim_obs):
-            table.insert(
-                {
-                    "fact_id": int(fact_id),
-                    "source": matrix.source_names[int(source_id)],
-                    "observation": bool(obs),
-                }
-            )
-        return table
 
     @property
     def fact_ids(self) -> Mapping[tuple[EntityKey, AttributeValue], FactId]:

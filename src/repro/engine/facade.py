@@ -60,9 +60,8 @@ from repro.core.incremental import IncrementalLTM, prior_mean_predictor
 from repro.core.priors import LTMPriors
 from repro.data.claim_builder import build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
-from repro.store.table import Table
 from repro.engine.config import EngineConfig
-from repro.engine.registry import MethodRegistry, default_registry
+from repro.engine.registry import MethodRegistry, MethodSpec, default_registry
 from repro.exceptions import (
     ConfigurationError,
     EmptyDatasetError,
@@ -85,13 +84,12 @@ __all__ = ["OnlineStepReport", "TruthEngine", "discover"]
 def _is_source_like(data: Any) -> bool:
     """Whether ``data`` should resolve through :func:`repro.io.as_source`.
 
-    Catalog keys, file paths, relational tables, datasets and
-    :class:`~repro.io.base.DataSource` objects qualify; plain triple
-    iterables keep the direct (copy-free) path.  Tables and datasets must
-    not fall through to the iterable path: iterating them yields dict rows
-    / nothing triple-shaped, not triples.
+    Catalog keys, file paths, datasets and :class:`~repro.io.base.DataSource`
+    objects qualify; plain triple iterables keep the direct (copy-free)
+    path.  Datasets must not fall through to the iterable path: iterating
+    them yields nothing triple-shaped.
     """
-    if isinstance(data, (str, Path, Table, TruthDataset)):
+    if isinstance(data, (str, Path, TruthDataset)):
         return True
     # Duck-typed so this hot check does not import repro.io on every call.
     return hasattr(data, "iter_triples") and hasattr(data, "iter_batches")
@@ -333,6 +331,17 @@ class TruthEngine:
         """
         if self._solver is not None:
             return self._solver
+        spec, params = self._solver_params(priors)
+        return spec.factory(**params)
+
+    def _solver_params(
+        self, priors: LTMPriors | None = None
+    ) -> tuple[MethodSpec, dict[str, Any]]:
+        """The configured method's spec and factory keyword arguments.
+
+        ``priors`` overrides the configured priors when the method accepts
+        them; a method that needs learned quality gets the engine's.
+        """
         spec = self.registry.spec(self.config.method)
         if not spec.claim_based:
             raise ConfigurationError(
@@ -351,7 +360,7 @@ class TruthEngine:
                     f"method first"
                 )
             params["source_quality"] = self._quality
-        return spec.factory(**params)
+        return spec, params
 
     def _streaming_priors(self) -> LTMPriors:
         """The priors governing incremental scoring and quality carry-over."""
@@ -593,24 +602,7 @@ class TruthEngine:
         from repro.parallel import ParallelExecutor, ShardPlanner
 
         execution = self.config.execution
-        spec = self.registry.spec(self.config.method)
-        if not spec.claim_based:
-            raise ConfigurationError(
-                f"method {spec.key!r} does not consume claim matrices and cannot "
-                f"be driven through TruthEngine; instantiate "
-                f"{spec.factory.__name__} directly"
-            )
-        params = dict(self.config.params)
-        if priors_override is not None and spec.accepts("priors"):
-            params["priors"] = priors_override
-        if spec.requires_quality and "source_quality" not in params:
-            if self._quality is None:
-                raise ConfigurationError(
-                    f"method {spec.key!r} needs previously learned source quality; "
-                    f"pass source_quality in params or fit a quality-estimating "
-                    f"method first"
-                )
-            params["source_quality"] = self._quality
+        spec, params = self._solver_params(priors_override)
         if spec.accepts("priors") and params.get("priors") is None:
             # Resolve the method's default priors once, on the full corpus, so
             # every shard and the count merge share a single prior instead of
@@ -895,15 +887,7 @@ class TruthEngine:
                 duration=time.perf_counter() - started,
                 path="refit",
             )
-        self._result = result
-        self._claims = matrix
-        if result.source_quality is not None:
-            self._quality = result.source_quality
-        # Refresh stored scores for all facts covered by the re-fit.
-        for fact in matrix.facts:
-            self._scores[(fact.entity, str(fact.attribute))] = float(result.scores[fact.fact_id])
-        self._since_last_fit = {}
-        self._batches_since_fit = 0
+        self._absorb_fit(matrix, result)
 
     # -- artifacts (the repro.serving seam) -----------------------------------------
     def to_artifact(
@@ -1023,7 +1007,6 @@ def discover(
     method: str = "ltm",
     *,
     threshold: float = 0.5,
-    keep_workspace: bool = False,
     registry: MethodRegistry | None = None,
     **params: Any,
 ) -> "IntegrationResult":
@@ -1057,6 +1040,4 @@ def discover(
 
     resolved = registry if registry is not None else default_registry()
     solver = resolved.create(method, **params)
-    return run_integration(
-        triples, method=solver, threshold=threshold, keep_workspace=keep_workspace
-    )
+    return run_integration(triples, method=solver, threshold=threshold)

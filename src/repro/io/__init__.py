@@ -6,7 +6,7 @@ triple enters through.
 * :class:`~repro.io.base.DataSource` — the chunk-oriented source protocol
   (``schema`` / ``iter_triples`` / ``iter_batches`` / ``to_dataset``);
 * :mod:`repro.io.sources` — concrete sources for in-memory triples, triple
-  CSV/TSV files, JSON dataset dumps, relational tables and the synthetic
+  CSV/TSV files, JSON dataset dumps, existing datasets and the synthetic
   simulators;
 * :class:`~repro.io.store_source.StoreSource` — the out-of-core source over
   a disk-backed :class:`~repro.store.claims.ClaimStore` (indexed entity
@@ -39,7 +39,6 @@ from repro.io.sources import (
     JsonDatasetSource,
     MemorySource,
     SyntheticSource,
-    TableSource,
     TripleFileSource,
 )
 from repro.io.store_source import StoreSource
@@ -57,7 +56,6 @@ __all__ = [
     "MemorySource",
     "TripleFileSource",
     "JsonDatasetSource",
-    "TableSource",
     "DatasetSource",
     "SyntheticSource",
     "StoreSource",

@@ -1,8 +1,7 @@
 """The :class:`DataSource` protocol: the single way data enters the library.
 
-Historically the library had five disjoint ingestion styles — CSV/JSON
-loaders, :class:`~repro.data.raw.RawDatabase`, relational
-:class:`~repro.store.table.Table` rows, the synthetic simulators and
+Historically the library had disjoint ingestion styles — CSV/JSON
+loaders, :class:`~repro.data.raw.RawDatabase`, the synthetic simulators and
 :class:`~repro.streaming.stream.ClaimStream` — and every new workload or
 backend had to hand-wire triples into ``build_dataset`` itself.
 
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro.data.claim_builder import build_dataset, bulk_build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
-from repro.data.raw import RawDatabase
 from repro.exceptions import StreamError
 from repro.obs import get_tracer
 from repro.streaming.stream import ClaimBatch
@@ -51,7 +49,7 @@ class SourceSchema:
     name:
         Human-readable source name (also the default dataset name).
     kind:
-        Source family: ``"memory"``, ``"file"``, ``"json"``, ``"table"``,
+        Source family: ``"memory"``, ``"file"``, ``"json"``, ``"store"``,
         ``"dataset"`` or ``"synthetic"``.
     fields:
         The triple fields every source yields, in order.
@@ -267,10 +265,6 @@ class DataSource(abc.ABC):
             batch_index += 1
 
     # -- batch materialisation ------------------------------------------------------
-    def to_raw(self, strict: bool = False) -> RawDatabase:
-        """Materialise the source as a :class:`~repro.data.raw.RawDatabase`."""
-        return RawDatabase(self.iter_triples(), strict=strict)
-
     def to_claim_matrix(self) -> ClaimMatrix:
         """Run the claim-generation rules over the source (vectorized path)."""
         return bulk_build_claim_matrix(self.iter_triples())

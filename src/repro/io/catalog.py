@@ -10,8 +10,8 @@ and aliases, so workloads are reachable by name from
 
 :func:`as_source` is the universal coercion every retrofitted entry point
 uses: it turns a :class:`~repro.io.base.DataSource`, a catalog key, a file
-path, a :class:`~repro.data.raw.RawDatabase`, a relational table, a
-:class:`~repro.data.dataset.TruthDataset` or any triple iterable into a
+path, a ``store://`` URL, a :class:`~repro.data.dataset.TruthDataset`, a
+:class:`~repro.data.raw.RawDatabase` or any triple iterable into a
 :class:`~repro.io.base.DataSource`.
 """
 
@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.data.dataset import TruthDataset
-from repro.data.raw import RawDatabase
 from repro.exceptions import ConfigurationError
 from repro.io.base import DataSource
 from repro.io.sources import (
@@ -30,10 +29,8 @@ from repro.io.sources import (
     JsonDatasetSource,
     MemorySource,
     SyntheticSource,
-    TableSource,
     TripleFileSource,
 )
-from repro.store.table import Table
 from repro.types import Triple
 
 __all__ = [
@@ -420,10 +417,6 @@ def as_source(
       (``params`` are rejected: the source is already built);
     * a :class:`~repro.data.dataset.TruthDataset` — wrapped in
       :class:`~repro.io.sources.DatasetSource`;
-    * a :class:`~repro.data.raw.RawDatabase` or any iterable of triples —
-      wrapped in :class:`~repro.io.sources.MemorySource`;
-    * a relational :class:`~repro.store.Table` — wrapped in
-      :class:`~repro.io.sources.TableSource`;
     * a ``store://`` URL — opened as an out-of-core
       :class:`~repro.io.store_source.StoreSource` over the claim store at
       the path after the prefix (``store://claims.db`` is relative,
@@ -432,7 +425,9 @@ def as_source(
       ``params`` passed to the dataset factory) when registered, otherwise
       as an existing triple file (``.json`` dumps load as datasets,
       SQLite files — by ``.db``/``.sqlite`` suffix or magic header — open
-      as claim stores).
+      as claim stores);
+    * a :class:`~repro.data.raw.RawDatabase` or any other iterable of
+      triples — wrapped in :class:`~repro.io.sources.MemorySource`.
 
     Raises
     ------
@@ -447,10 +442,6 @@ def as_source(
         return data
     if isinstance(data, TruthDataset):
         return DatasetSource(data)
-    if isinstance(data, RawDatabase):
-        return MemorySource(data)
-    if isinstance(data, Table):
-        return TableSource(data, **params)
     if isinstance(data, (str, Path)):
         resolved = catalog if catalog is not None else default_catalog()
         if isinstance(data, str) and data.startswith(STORE_URL_PREFIX):

@@ -18,8 +18,7 @@ two primitives:
   ``--telemetry`` / ``--trace-out`` flags.
 
 * **Metrics** (:mod:`repro.obs.metrics`) — the Prometheus-format
-  counter/gauge/histogram registry the HTTP tier has always used
-  (:mod:`repro.api.observability` re-exports it from here), plus a
+  counter/gauge/histogram registry the HTTP tier has always used, plus a
   process-global default registry carrying the engine-side series
   (``repro_engine_*``, ``repro_gibbs_*``, ``repro_parallel_*``,
   ``repro_store_*``, ``repro_serving_*``).  ``GET /metrics`` exposes both.

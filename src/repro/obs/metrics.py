@@ -3,10 +3,9 @@
 This module is the single home of the metric primitives the library uses —
 :class:`Counter`, :class:`Gauge`, :class:`Histogram` and the
 :class:`MetricsRegistry` that renders them in the Prometheus text exposition
-format (version 0.0.4).  They started life in :mod:`repro.api.observability`
-backing ``GET /metrics``; that module now re-exports them from here
-unchanged, so API imports keep working while the engine, the shard executor,
-the claim store and the serving layer record into the same primitives.
+format (version 0.0.4).  They back the HTTP tier's ``GET /metrics``, and
+the engine, the shard executor, the claim store and the serving layer
+record into the same primitives.
 
 Two registries coexist by convention:
 

@@ -1,35 +1,26 @@
 """The batch integration flow: raw triples in, merged records out.
 
-:func:`run_integration` is the canonical end-to-end entry point: it resolves
-the input through :func:`repro.io.as_source` (so catalog keys, files, tables
-and in-memory triples all work), builds the claim matrix, hands it to the
-unified :class:`~repro.engine.TruthEngine` for fitting and thresholding, and
-optionally materialises the intermediate relational tables as a debug
-workspace.  :func:`repro.discover` wraps it in one line.
-
-With an :class:`~repro.engine.ExecutionConfig` of ``num_shards > 1`` the fit
-runs entity-sharded through :mod:`repro.parallel` (the historical
-``IntegrationPipeline`` class shim was removed in 1.4 after its two-PR
-deprecation window; use :func:`run_integration` or
-:class:`~repro.engine.TruthEngine`).
+:func:`run_integration` is the canonical end-to-end entry point and one
+:meth:`TruthEngine.fit <repro.engine.TruthEngine.fit>`: the engine resolves
+the input (catalog keys, files, ``store://`` URLs, datasets, raw databases
+and in-memory triples all work), builds the fact and claim tables of
+Definitions 2-3, fits the method and thresholds the scores.  With an
+:class:`~repro.engine.ExecutionConfig` of ``num_shards > 1`` the same fit
+runs entity-sharded through :mod:`repro.parallel`.  :func:`repro.discover`
+wraps it in one line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.core.base import SourceQualityTable, TruthMethod, TruthResult
-from repro.core.model import LatentTruthModel
-from repro.data.claim_builder import ClaimTableBuilder, build_claim_matrix
 from repro.data.dataset import ClaimMatrix
 from repro.data.raw import RawDatabase
 from repro.engine.config import EngineConfig, ExecutionConfig
 from repro.engine.facade import TruthEngine
-from repro.engine.registry import default_registry
 from repro.exceptions import ConfigurationError
-from repro.store import Column, Database, Schema
 from repro.types import Triple
 
 __all__ = ["IntegrationResult", "run_integration"]
@@ -53,9 +44,6 @@ class IntegrationResult:
         The raw solver output.
     claims:
         The claim matrix the solver was fitted on.
-    workspace:
-        A relational :class:`~repro.store.Database` holding the raw, fact,
-        claim and truth tables of the run (for inspection and debugging).
     """
 
     merged_records: dict[str, list[str]] = field(default_factory=dict)
@@ -64,7 +52,6 @@ class IntegrationResult:
     source_quality: SourceQualityTable | None = None
     truth_result: TruthResult | None = None
     claims: ClaimMatrix | None = None
-    workspace: Database | None = None
 
     def accepted_values(self, entity: str) -> list[str]:
         """Accepted attribute values of ``entity`` (empty when unknown)."""
@@ -84,7 +71,6 @@ def run_integration(
     *,
     method: TruthMethod | str | None = None,
     threshold: float = 0.5,
-    keep_workspace: bool = False,
     execution: ExecutionConfig | None = None,
     **method_params: Any,
 ) -> IntegrationResult:
@@ -94,191 +80,46 @@ def run_integration(
     ----------
     data:
         The assertions to integrate: raw triples, a
-        :class:`~repro.data.raw.RawDatabase`, any
+        :class:`~repro.data.raw.RawDatabase`, a
+        :class:`~repro.data.dataset.TruthDataset`, any
         :class:`~repro.io.base.DataSource`, or a dataset-catalog key / file
-        path (resolved through :func:`repro.io.as_source`).
+        path / ``store://`` URL (resolved through :func:`repro.io.as_source`).
     method:
         The truth-finding method: a :class:`~repro.core.base.TruthMethod`
         instance, a registry key such as ``"voting"`` (resolved through
         :func:`repro.engine.default_registry` and built with
-        ``method_params``), or ``None`` for
-        :class:`~repro.core.model.LatentTruthModel` with library defaults.
+        ``method_params``), or ``None`` for ``"ltm"``
+        (:class:`~repro.core.model.LatentTruthModel`) with library defaults.
     threshold:
         Truth-probability threshold above which a fact is accepted into the
         merged records.
-    keep_workspace:
-        Whether to materialise the intermediate relational tables in the
-        result's ``workspace`` database (useful for debugging, costs memory).
     execution:
         Optional :class:`~repro.engine.ExecutionConfig`; with
         ``num_shards > 1`` the fit runs entity-sharded through
-        :mod:`repro.parallel` (requires a string ``method`` key — shard
-        workers resolve the solver through the registry).
+        :mod:`repro.parallel` (requires a registry key — shard workers
+        resolve the solver through the registry).
     **method_params:
         Hyperparameters for registry construction when ``method`` is a
-        string (e.g. ``iterations``, ``seed``).
+        key (e.g. ``iterations``, ``seed``).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError("threshold must lie in [0, 1]")
-
-    if execution is not None and execution.sharded:
-        return _run_sharded_integration(
-            data,
-            method=method,
-            threshold=threshold,
-            keep_workspace=keep_workspace,
-            execution=execution,
-            method_params=method_params,
-        )
-
-    if isinstance(method, str):
-        method = default_registry().create(method, **method_params)
-    elif method_params:
+    solver = method if isinstance(method, TruthMethod) else None
+    if solver is not None and method_params:
         raise ConfigurationError(
             "method hyperparameters are only accepted with a string method name"
         )
-    solver = method if method is not None else LatentTruthModel()
-
-    # Every input style — raw databases, tables, datasets, catalog keys,
-    # files, plain iterables — goes through the one coercion layer, so none
-    # can fall through to a wrong interpretation.  The vectorized bulk path
-    # builds the claim matrix; the per-row RawDatabase and relational views
-    # are only materialised when the debug workspace is wanted.
-    if isinstance(data, RawDatabase):
-        raw: RawDatabase | None = data
-        raw.require_non_empty()
-        claims = build_claim_matrix(raw)
-    else:
-        from repro.io.catalog import as_source  # lazy: repro.io builds on the engine
-
-        source = as_source(data)
-        raw = source.to_raw(strict=False) if keep_workspace else None
-        claims = build_claim_matrix(raw) if raw is not None else source.to_claim_matrix()
-
-    engine = TruthEngine(EngineConfig(threshold=threshold), solver=solver)
-    engine.fit(claims)
-    truth_result = engine.result()
-
-    workspace = (
-        _build_workspace(raw, ClaimTableBuilder(raw), claims, truth_result, threshold)
-        if keep_workspace and raw is not None
-        else None
+    config = EngineConfig(
+        method="ltm" if method is None or solver is not None else method,
+        params=method_params,
+        threshold=threshold,
+        execution=execution if execution is not None else ExecutionConfig(),
     )
+    engine = TruthEngine(config, solver=solver).fit(data)
+    truth_result = engine.result()
     return IntegrationResult(
         merged_records=engine.merged_records(),
         rejected_records=engine.rejected_records(),
         fact_scores=engine.fact_scores,
         source_quality=truth_result.source_quality,
         truth_result=truth_result,
-        claims=claims,
-        workspace=workspace,
+        claims=engine.claims(),
     )
-
-
-def _run_sharded_integration(
-    data: Any,
-    *,
-    method: TruthMethod | str | None,
-    threshold: float,
-    keep_workspace: bool,
-    execution: ExecutionConfig,
-    method_params: dict[str, Any],
-) -> IntegrationResult:
-    """The entity-sharded variant of :func:`run_integration`.
-
-    The engine plans, executes and merges the shards
-    (:meth:`~repro.engine.TruthEngine.fit` routes through
-    :mod:`repro.parallel` when ``execution.num_shards > 1``); this wrapper
-    only handles input coercion and the optional debug workspace.
-    """
-    if method is None:
-        method = "ltm"
-    if not isinstance(method, str):
-        raise ConfigurationError(
-            "sharded execution resolves the solver through the registry on "
-            "every shard; pass a registry method key, not a solver instance"
-        )
-    engine = TruthEngine(
-        EngineConfig(
-            method=method,
-            params=dict(method_params),
-            threshold=threshold,
-            execution=execution,
-        )
-    )
-    if isinstance(data, RawDatabase):
-        raw: RawDatabase | None = data
-    else:
-        from repro.io.catalog import as_source  # lazy: repro.io builds on the engine
-
-        source = as_source(data)
-        raw = source.to_raw(strict=False) if keep_workspace else None
-        data = raw if raw is not None else source
-    engine.fit(data)
-    truth_result = engine.result()
-    claims = engine.claims()
-    workspace = (
-        _build_workspace(raw, ClaimTableBuilder(raw), claims, truth_result, threshold)
-        if keep_workspace and raw is not None
-        else None
-    )
-    return IntegrationResult(
-        merged_records=engine.merged_records(),
-        rejected_records=engine.rejected_records(),
-        fact_scores=engine.fact_scores,
-        source_quality=truth_result.source_quality,
-        truth_result=truth_result,
-        claims=claims,
-        workspace=workspace,
-    )
-
-
-def _build_workspace(
-    raw: RawDatabase,
-    builder: ClaimTableBuilder,
-    claims: ClaimMatrix,
-    truth_result: TruthResult,
-    threshold: float,
-) -> Database:
-    """Materialise raw/fact/claim/truth tables as a relational workspace."""
-    workspace = Database("integration")
-
-    raw_table = workspace.create_table(
-        "raw_database",
-        Schema(
-            columns=(Column("entity", object), Column("attribute", object), Column("source", object)),
-        ),
-    )
-    for triple in raw:
-        raw_table.insert(
-            {"entity": triple.entity, "attribute": triple.attribute, "source": triple.source}
-        )
-
-    workspace.attach(builder.fact_table())
-    workspace.attach(builder.claim_table())
-
-    truth_table = workspace.create_table(
-        "truths",
-        Schema(
-            columns=(
-                Column("fact_id", int),
-                Column("entity", object),
-                Column("attribute", object),
-                Column("score", float),
-                Column("truth", bool),
-            ),
-            key=("fact_id",),
-        ),
-    )
-    for fact in claims.facts:
-        score = float(truth_result.scores[fact.fact_id])
-        truth_table.insert(
-            {
-                "fact_id": fact.fact_id,
-                "entity": fact.entity,
-                "attribute": fact.attribute,
-                "score": score,
-                "truth": bool(score >= threshold),
-            }
-        )
-    return workspace

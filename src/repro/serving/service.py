@@ -107,7 +107,7 @@ class _Snapshot:
         """The ``k`` highest-scored facts of *this* snapshot (see ``top_k``)."""
         if entity is not None:
             name = str(entity)
-            return [(name, attr, score) for attr, score in self.entity_top(name)[:k]]
+            return [(name, attr, score) for attr, score in self.entity_top(name)[: max(k, 0)]]
         artifact = self.artifact
         k = min(int(k), artifact.num_facts)
         if k <= 0:
@@ -267,7 +267,8 @@ class TruthService:
         """The ``k`` highest-scored facts, globally or for one entity.
 
         Returns ``(entity, attribute, score)`` tuples in decreasing score
-        order.  Entity-scoped queries hit the per-snapshot LRU cache.
+        order.  Entity-scoped queries hit the per-snapshot LRU cache; a ``k``
+        of zero or less returns ``[]``.
         """
         return self._snapshot.top(k, entity)
 

@@ -1,7 +1,8 @@
 """Disk-backed storage backends for the out-of-core claim store.
 
-The in-memory :class:`~repro.store.Table` module is the library's
-*working-set* tier; this module is the seam to the *disk* tier.  :class:`StorageBackend` pins down the narrow DB-API 2.0 surface
+The in-memory :class:`~repro.store.Table` holds only the rows of a
+:class:`~repro.data.raw.RawDatabase`; this module is the seam to the *disk*
+tier.  :class:`StorageBackend` pins down the narrow DB-API 2.0 surface
 :class:`~repro.store.claims.ClaimStore` actually needs — execute, batched
 ``executemany``, chunked row streaming, transactions — so any conforming
 driver can back a claim store.  :class:`SQLiteBackend` is the bundled default

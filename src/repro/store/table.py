@@ -19,7 +19,7 @@ class Table:
     Parameters
     ----------
     name:
-        Table name, used in error messages and by :class:`~repro.store.database.Database`.
+        Table name, used in error messages.
     schema:
         The :class:`~repro.store.schema.Schema` rows must conform to.
     """

@@ -84,12 +84,18 @@ def as_triple(row: Any) -> Triple:
     """The row rule, per row: ``row`` as a ``Triple``, or ``DataModelError``.
 
     A raw row is a ``Triple`` or any other sequence of exactly three
-    fields, none of them ``None``.
+    fields, none of them ``None``.  Fields are read by index, like
+    :func:`triple_columns`, so a mapping or a set is not a row.
     """
     try:
-        triple = Triple._make(row)
-    except TypeError:
-        raise DataModelError(f"expected (entity, attribute, source) triples, got {row!r}") from None
+        if len(row) != 3:
+            raise TypeError
+        # tuple.__new__ skips the NamedTuple's Python-level __new__ (per row).
+        triple = tuple.__new__(Triple, (row[0], row[1], row[2]))
+    except (TypeError, LookupError):
+        raise DataModelError(
+            f"expected (entity, attribute, source) triples that support indexing, got {row!r}"
+        ) from None
     if None in triple:
         raise DataModelError(f"raw triple fields must not be None, got {row!r}")
     return triple

@@ -34,11 +34,12 @@ from repro.api import (
     fact_row,
 )
 from repro.api.codec import sanitize
-from repro.api.observability import Counter, Gauge, Histogram, RequestLogger
+from repro.api.observability import RequestLogger
 from repro.api.routing import MethodNotAllowed, NotFound
 from repro.engine import TruthEngine
 from repro.engine.config import EngineConfig
 from repro.exceptions import ConfigurationError
+from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.serving import TruthArtifact, TruthService
 
 
@@ -300,8 +301,12 @@ class TestEndpoints:
         assert all(set(f) == {"entity", "attribute", "score", "accepted"} for f in payload["facts"])
 
     def test_truth_top_limits(self, ltm_artifact):
-        response = fetch(make_app(ltm_artifact), "GET", "/truth/Harry%20Potter?top=2")
+        app = make_app(ltm_artifact)
+        response = fetch(app, "GET", "/truth/Harry%20Potter?top=2")
         assert response.json()["count"] == 2
+        response = fetch(app, "GET", "/truth/Harry%20Potter?top=-1")
+        assert response.status == 400
+        assert response.json()["error"] == "invalid_query"
 
     def test_truth_point_lookup(self, ltm_artifact):
         response = fetch(

@@ -24,12 +24,6 @@ class TestFactTable:
     def test_fact_ids_are_dense(self, paper_claims):
         assert [f.fact_id for f in paper_claims.facts] == list(range(5))
 
-    def test_fact_table_relational_view(self, paper_builder):
-        table = paper_builder.fact_table()
-        assert len(table) == 5
-        assert set(table.column_names) == {"fact_id", "entity", "attribute"}
-
-
 class TestClaimGeneration:
     """The three claim-generation rules of Definition 3."""
 
@@ -68,12 +62,6 @@ class TestClaimGeneration:
     def test_one_claim_per_fact_source_pair(self, paper_claims):
         pairs = list(zip(paper_claims.claim_fact.tolist(), paper_claims.claim_source.tolist()))
         assert len(pairs) == len(set(pairs))
-
-    def test_claim_table_relational_view(self, paper_builder):
-        table = paper_builder.claim_table()
-        assert len(table) == 13
-        true_count = sum(1 for row in table if row["observation"])
-        assert true_count == 8
 
     def test_duplicate_triples_do_not_duplicate_claims(self):
         raw = RawDatabase(strict=False)

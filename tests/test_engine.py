@@ -328,11 +328,6 @@ class TestDiscover:
         with pytest.raises(ConfigurationError, match="unknown method"):
             discover(paper_triples, method="wat")
 
-    def test_discover_keep_workspace(self, paper_triples):
-        result = discover(paper_triples, method="voting", keep_workspace=True)
-        assert result.workspace is not None
-        assert "truths" in result.workspace.table_names
-
 
 class TestStreamingParity:
     def test_partial_fit_is_reproducible(self):

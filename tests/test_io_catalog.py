@@ -7,14 +7,15 @@ source, `TruthEngine.fit(source)` and streaming `partial_fit` over
 import numpy as np
 import pytest
 
+from repro.baselines.truthfinder import TruthFinder
 from repro.baselines.voting import Voting
 from repro.core.model import LatentTruthModel
 from repro.core.priors import LTMPriors
 from repro.data.claim_builder import ClaimTableBuilder, build_dataset
 from repro.data.loaders import save_dataset_json, save_triples_csv
 from repro.data.raw import RawDatabase
-from repro.engine import EngineConfig, TruthEngine
-from repro.exceptions import ConfigurationError
+from repro.engine import EngineConfig, ExecutionConfig, TruthEngine
+from repro.exceptions import ConfigurationError, DataModelError
 from repro.io import (
     DataSource,
     DatasetCatalog,
@@ -22,12 +23,12 @@ from repro.io import (
     DatasetSpec,
     JsonDatasetSource,
     MemorySource,
-    TableSource,
     TripleFileSource,
     as_source,
     default_catalog,
 )
-from repro.store import Column, Schema, Table
+from repro.pipeline.integrate import run_integration
+from repro.store import ClaimStore
 from repro.streaming import ClaimStream
 from repro.types import Triple
 
@@ -107,17 +108,12 @@ class TestAsSource:
         save_triples_csv(TRIPLES, tsv)
         json_path = tmp_path / "ds.json"
         save_dataset_json(build_dataset(TRIPLES), json_path)
-        table = Table(
-            "raw",
-            Schema(columns=(Column("entity", object), Column("attribute", object), Column("source", object))),
-        )
-        for t in TRIPLES:
-            table.insert({"entity": t.entity, "attribute": t.attribute, "source": t.source})
 
         assert isinstance(as_source(TRIPLES), MemorySource)
         assert isinstance(as_source(RawDatabase(TRIPLES)), MemorySource)
         assert isinstance(as_source(build_dataset(TRIPLES)), DatasetSource)
-        assert isinstance(as_source(table), TableSource)
+        with pytest.raises(DataModelError):
+            as_source(RawDatabase(TRIPLES).table)  # dict rows are not triples
         assert isinstance(as_source(str(tsv)), TripleFileSource)
         assert isinstance(as_source(json_path), JsonDatasetSource)
         assert isinstance(as_source("books_small"), DataSource)
@@ -205,26 +201,82 @@ class TestCatalogParity:
         scores = engine.predict_proba("paper_example")
         assert scores.shape[0] == 5
 
-    def test_tables_and_datasets_do_not_fall_through_to_iterable_path(self):
-        """A relational Table / TruthDataset must coerce, not iterate as rows."""
-        from repro.pipeline.integrate import run_integration
+    def test_tables_and_datasets_do_not_fall_through_to_iterable_path(self, tmp_path):
+        """`run_integration` is one engine fit for every input kind.
 
-        table = Table(
-            "raw",
-            Schema(columns=(Column("entity", object), Column("attribute", object), Column("source", object))),
-        )
-        for t in TRIPLES:
-            table.insert({"entity": t.entity, "attribute": t.attribute, "source": t.source})
-        dataset = build_dataset(TRIPLES)
+        Each input gives exactly the solver's own fit on the input's claim
+        matrix, in both the registry-key and the instance form: a
+        `TruthDataset` (or a JSON dump of one) coerces and is not iterated
+        as rows.  A 2-shard serial run equals the engine's sharded fit.
+        """
+        tsv = tmp_path / "crawl.tsv"
+        save_triples_csv(TRIPLES + TRIPLES[:2], tsv)
+        json_path = tmp_path / "ds.json"
+        save_dataset_json(build_dataset(TRIPLES), json_path)
+        with ClaimStore(tmp_path / "claims.db") as store:
+            store.append(TRIPLES)
+        inputs = {
+            "catalog_key": "paper_example",
+            "duplicates": TRIPLES + TRIPLES[:2],
+            "raw_database": RawDatabase(TRIPLES),
+            "tsv": str(tsv),
+            "json": json_path,
+            "dataset": build_dataset(TRIPLES),
+            "store_url": f"store://{tmp_path / 'claims.db'}",
+        }
+        methods = {
+            "voting": ({}, Voting),
+            "ltm": ({"iterations": 20, "seed": 3}, LatentTruthModel),
+            "truthfinder": ({}, TruthFinder),
+        }
+        expected_facts = sorted((f.entity, f.attribute) for f in build_dataset(TRIPLES).claims.facts)
 
-        expected = sorted(
-            (f.entity, f.attribute) for f in build_dataset(TRIPLES).claims.facts
-        )
-        for data in (table, dataset):
-            result = run_integration(data, method=Voting())
-            assert sorted(result.fact_scores) == expected
-            engine = TruthEngine(method="voting").fit(data)
-            assert sorted(engine.fact_scores) == expected
+        def assert_same(result, matrix, truth):
+            claims = result.claims
+            assert [(f.entity, f.attribute) for f in claims.facts] == [
+                (f.entity, f.attribute) for f in matrix.facts
+            ]
+            assert claims.source_names == matrix.source_names
+            for name in ("claim_fact", "claim_source", "claim_obs"):
+                np.testing.assert_array_equal(getattr(claims, name), getattr(matrix, name))
+            np.testing.assert_array_equal(result.truth_result.scores, truth.scores)
+            assert result.fact_scores == {
+                (f.entity, str(f.attribute)): float(truth.scores[f.fact_id]) for f in matrix.facts
+            }
+            quality = truth.source_quality
+            if quality is None:
+                assert result.source_quality is None
+            else:
+                assert result.source_quality.source_names == quality.source_names
+                np.testing.assert_array_equal(result.source_quality.sensitivity, quality.sensitivity)
+                np.testing.assert_array_equal(result.source_quality.specificity, quality.specificity)
+
+        for label, data in inputs.items():
+            matrix = as_source(data).to_claim_matrix()
+            for key, (params, factory) in methods.items():
+                truth = factory(**params).fit(matrix)
+                by_key = run_integration(data, method=key, **params)
+                by_instance = run_integration(data, method=factory(**params))
+                assert_same(by_key, matrix, truth)
+                assert_same(by_instance, matrix, truth)
+                assert by_key.merged_records == by_instance.merged_records
+                assert by_key.rejected_records == by_instance.rejected_records
+                if label != "catalog_key":
+                    assert sorted(by_key.fact_scores) == expected_facts, (label, key)
+
+            execution = ExecutionConfig(num_shards=2, backend="serial")
+            sharded = run_integration(
+                data, method="ltm", execution=execution, iterations=20, seed=3
+            )
+            engine = TruthEngine(
+                EngineConfig(
+                    method="ltm", params={"iterations": 20, "seed": 3}, execution=execution
+                )
+            ).fit(data)
+            assert sharded.truth_result.extras["execution"]["num_shards"] == 2
+            np.testing.assert_array_equal(sharded.truth_result.scores, engine.result().scores)
+            assert sharded.fact_scores == engine.fact_scores
+            assert sharded.merged_records == engine.merged_records()
 
     def test_engine_rejects_unknown_hyperparameters_at_construction(self):
         with pytest.raises(ConfigurationError, match="does not accept parameter"):

@@ -6,17 +6,15 @@ import pytest
 from repro.data.claim_builder import build_dataset
 from repro.data.loaders import save_dataset_json, save_labels_csv, save_triples_csv
 from repro.data.raw import RawDatabase
-from repro.exceptions import ConfigurationError, StreamError
+from repro.exceptions import StreamError
 from repro.io.base import DataSource, SourceSchema
 from repro.io.sources import (
     DatasetSource,
     JsonDatasetSource,
     MemorySource,
     SyntheticSource,
-    TableSource,
     TripleFileSource,
 )
-from repro.store import Column, Database, Schema, Table
 from repro.streaming import ClaimStream
 from repro.types import Triple
 
@@ -150,35 +148,6 @@ class TestJsonDatasetSource:
             t.as_tuple() for t in TRIPLES
         )
         assert source.schema().kind == "json"
-
-
-class TestTableSource:
-    def _table(self) -> Table:
-        table = Table(
-            "assertions",
-            Schema(columns=(Column("movie", object), Column("director", object), Column("feed", object))),
-        )
-        for t in TRIPLES:
-            table.insert({"movie": t.entity, "director": t.attribute, "feed": t.source})
-        return table
-
-    def test_column_mapping(self):
-        source = TableSource(self._table(), entity="movie", attribute="director", source="feed")
-        assert list(source.iter_triples()) == TRIPLES
-        assert source.schema().num_triples == len(TRIPLES)
-        assert source.schema().metadata["columns"]["entity"] == "movie"
-
-    def test_database_lookup(self):
-        db = Database("workspace")
-        db.attach(self._table())
-        source = TableSource(db, "assertions", entity="movie", attribute="director", source="feed")
-        assert len(list(source.iter_triples())) == len(TRIPLES)
-        with pytest.raises(ConfigurationError):
-            TableSource(db)  # table_name required
-
-    def test_missing_column_rejected(self):
-        with pytest.raises(ConfigurationError, match="no column"):
-            TableSource(self._table())  # default entity/attribute/source absent
 
 
 class TestDatasetAndSyntheticSources:

@@ -27,11 +27,9 @@ import pytest
 
 from repro import cli, obs
 from repro.api import ASGIClient, create_app
-from repro.api import observability as api_observability
 from repro.core.gibbs import GibbsConfig
 from repro.engine import TruthEngine
 from repro.engine.config import EngineConfig, ExecutionConfig
-from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import global_registry, reset_global_registry
 from repro.obs.render import load_spans
 from repro.store import ClaimStore
@@ -332,22 +330,6 @@ class TestMetricsEndpoint:
         assert 'repro_api_requests_total{method="GET",route="/healthz",status="200"} 1' in text
         assert 'repro_api_request_seconds_bucket{route="/healthz",le="0.0005"}' in text
         assert 'repro_api_request_seconds_bucket{route="/healthz",le="+Inf"} 1' in text
-
-    def test_observability_module_is_a_re_export(self):
-        assert api_observability.Counter is obs_metrics.Counter
-        assert api_observability.Gauge is obs_metrics.Gauge
-        assert api_observability.Histogram is obs_metrics.Histogram
-        assert api_observability.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert api_observability.LATENCY_BUCKETS == obs_metrics.LATENCY_BUCKETS
-        assert api_observability.__all__ == [
-            "new_request_id",
-            "RequestLogger",
-            "Counter",
-            "Gauge",
-            "Histogram",
-            "MetricsRegistry",
-            "LATENCY_BUCKETS",
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,6 @@ class TestRunIntegration:
         assert result.source_quality is None
         assert result.accepted_values("Pirates 4") == ["Johnny Depp"]
 
-    def test_workspace_tables(self, paper_triples):
-        result = run_integration(paper_triples, method=Voting(), keep_workspace=True)
-        workspace = result.workspace
-        assert workspace is not None
-        assert set(workspace.table_names) == {"raw_database", "facts", "claims", "truths"}
-        assert len(workspace.table("claims")) == result.claims.num_claims
-        assert len(workspace.table("truths")) == result.claims.num_facts
-
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
             run_integration([], method=Voting())

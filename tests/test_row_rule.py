@@ -1,9 +1,9 @@
 """The one row rule: every entry point that takes raw rows checks them alike.
 
 A raw row (Definition 1) is a :class:`~repro.types.Triple` or any other
-sequence of exactly three fields, none of them ``None``.  Every entry point
-raises :class:`~repro.exceptions.DataModelError` for a row that breaks the
-rule, and leaves the state it would have changed untouched.
+sequence of exactly three fields, read by index, none of them ``None``.
+Every entry point raises :class:`~repro.exceptions.DataModelError` for a row
+that breaks the rule, and leaves the state it would have changed untouched.
 """
 
 import pickle
@@ -26,6 +26,7 @@ BAD_ROWS = {
     "two_fields": ("e", "a"),
     "none_field": ("e", None, "s"),
     "not_a_sequence": 42,
+    "mapping": {"entity": "e", "attribute": "a", "source": "s"},
 }
 
 ENTRY_POINTS = {

@@ -453,6 +453,8 @@ def test_top_k_and_lookup_and_merged_records(paper_service):
         (s for _, _, s in top_global), reverse=True
     )
     assert service.top_k(0) == []
+    assert service.top_k(0, entity="Harry Potter") == []
+    assert service.top_k(-1, entity="Harry Potter") == []
     assert len(service.top_k(100)) == len(service)
 
     assert service.merged_records() == engine.merged_records()
