@@ -15,7 +15,7 @@ from a declarative :class:`~repro.engine.EngineConfig` and resolving solvers
 through the :class:`~repro.engine.MethodRegistry`.  On the data side,
 :mod:`repro.io` is the single ingestion seam: every workload is a
 :class:`~repro.io.DataSource` (in-memory triples, triple files, JSON dumps,
-relational tables, the simulators), named sources live in the
+claim stores, the simulators), named sources live in the
 :class:`~repro.io.DatasetCatalog`, and anything triple-shaped is coerced
 with :func:`repro.io.as_source` — so ``repro.discover("books")`` or
 ``TruthEngine().fit("movies")`` just work.  On the serve side,
@@ -32,15 +32,15 @@ idempotency keys, Prometheus metrics and zero-downtime artifact hot swap,
 runnable under the bundled stdlib :class:`~repro.api.APIServer` or any
 external ASGI server.  On the scale-out side, :mod:`repro.parallel`
 hash-partitions any source by entity (:class:`~repro.parallel.ShardPlanner`),
-fits shards on serial / thread / process backends
+fits shards on serial / process backends
 (:class:`~repro.parallel.ParallelExecutor`) and merges them with score
 parity — enabled per engine through
 :class:`~repro.engine.ExecutionConfig`, e.g.
 ``TruthEngine(method="ltm", execution={"num_shards": 4, "backend":
 "processes"})``.  On the storage side, :mod:`repro.store` adds an
 out-of-core tier: corpora that don't fit in RAM live in an append-only,
-schema-versioned :class:`~repro.store.ClaimStore` (bundled SQLite behind a
-pluggable :class:`~repro.store.StorageBackend`) and stream through ``fit``,
+schema-versioned :class:`~repro.store.ClaimStore` (stdlib SQLite) and
+stream through ``fit``,
 ``partial_fit`` and the shard planner via
 :class:`~repro.io.StoreSource` (``as_source("store://claims.db")``, CLI:
 ``repro-truth store load|stats|compact``) without ever materialising.

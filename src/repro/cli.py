@@ -418,7 +418,7 @@ def _integrate(args: argparse.Namespace) -> int:
             execution=execution,
             **params,
         )
-    except (ConfigurationError, DataModelError, EmptyDatasetError, StoreError, TypeError) as exc:
+    except (ConfigurationError, DataModelError, EmptyDatasetError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

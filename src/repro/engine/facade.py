@@ -189,7 +189,6 @@ class TruthEngine:
         **overrides: Any,
     ):
         config = config if config is not None else EngineConfig()
-        hyper_params: dict[str, Any] = {}
         if overrides:
             fields = {f.name for f in dataclasses.fields(EngineConfig)}
             config_overrides = {k: v for k, v in overrides.items() if k in fields}
@@ -208,10 +207,12 @@ class TruthEngine:
         if config.execution.sharded:
             self._reject_sharded_solver_instance()
         if solver is None:
-            # Fail fast on unknown methods; extension models are resolvable
-            # but rejected at fit time with a pointed error.
+            # Fail fast on unknown methods and on hyperparameters the method
+            # does not take, wherever they came from (keyword overrides are
+            # merged into config.params above); extension models are
+            # resolvable but rejected at fit time with a pointed error.
             spec = self.registry.spec(config.method)
-            rejected = sorted(k for k in hyper_params if not spec.accepts(k))
+            rejected = sorted(k for k in config.params if not spec.accepts(k))
             if rejected:
                 raise ConfigurationError(
                     f"method {spec.key!r} does not accept parameter(s) {rejected}; "
@@ -430,9 +431,9 @@ class TruthEngine:
             the store-backed :class:`~repro.io.store_source.StoreSource`) is
             **not copied into the engine**: the source itself becomes the
             history, the claim matrix is built from one streaming pass, and
-            sharded execution plans store-backed sources by entity-key
-            ranges (:meth:`~repro.parallel.ShardPlanner.plan_keys`) so the
-            corpus never materialises engine-side.
+            sharded execution plans an on-disk store by entity keys
+            (:meth:`~repro.parallel.ShardPlanner.plan`) so the corpus never
+            materialises engine-side.
 
         Returns
         -------
@@ -592,12 +593,12 @@ class TruthEngine:
         so downstream state (``predict_proba``, artifacts, serving) is
         laid out exactly as a single-shard fit.
 
-        A corpus advertising indexed entity ranges (a store-backed
-        :class:`~repro.io.store_source.StoreSource`) is planned by key
-        ranges (:meth:`~repro.parallel.ShardPlanner.plan_keys`): the planner
-        streams entity keys off the store's index, and each worker pulls its
-        own entities' triples straight from the store — score-identical to
-        the eager plan, without the corpus ever materialising here.
+        A :class:`~repro.io.store_source.StoreSource` over an on-disk
+        store is planned by entity keys (:meth:`~repro.parallel.ShardPlanner.plan`):
+        the planner streams keys off the store's index, and each worker
+        pulls its own entities' triples straight from the store —
+        score-identical to the grouped plan, without the corpus ever
+        materialising here.
         """
         from repro.parallel import ParallelExecutor, ShardPlanner
 
@@ -622,12 +623,8 @@ class TruthEngine:
             num_shards=execution.num_shards,
             partition_seed=execution.partition_seed,
         ) as plan_span:
-            if getattr(corpus, "supports_entity_ranges", False):
-                plan = planner.plan_keys(corpus)
-                plan_span.set(strategy="key_ranges")
-            else:
-                plan = planner.plan(corpus)
-                plan_span.set(strategy="eager")
+            plan = planner.plan(corpus)
+            plan_span.set(strategy="eager" if plan.store_path is None else "key_ranges")
         executor = ParallelExecutor(execution.backend, max_workers=execution.max_workers)
         merged = executor.fit(
             plan,
@@ -1036,8 +1033,10 @@ def discover(
     >>> result.accepted_values("Harry Potter")
     ['Daniel Radcliffe']
     """
-    from repro.pipeline.integrate import run_integration
+    from repro.pipeline.integrate import IntegrationResult
 
     resolved = registry if registry is not None else default_registry()
-    solver = resolved.create(method, **params)
-    return run_integration(triples, method=solver, threshold=threshold)
+    config = EngineConfig(
+        method=resolved.spec(method).key, params=params, threshold=threshold
+    )
+    return IntegrationResult.from_engine(TruthEngine(config, registry=resolved).fit(triples))

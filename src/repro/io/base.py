@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -78,24 +78,16 @@ class DataSource(abc.ABC):
     Sources are re-iterable: :meth:`iter_triples` may be called any number of
     times and must yield the same triples in the same order.
 
-    Two class attributes advertise a source's memory behaviour so callers
-    (the engine, the shard planner, the CLI ``datasets`` table) can route
-    out-of-core corpora without materialising them:
-
-    * :attr:`streams` — iterating the source holds only a bounded chunk in
-      memory at a time (file and store sources), as opposed to sources that
-      materialise their triples up front (memory, synthetic, json).
-    * :attr:`supports_entity_ranges` — :meth:`iter_entities` and
-      :meth:`entity_triples` are *indexed* operations: entity keys stream
-      without touching triples, and one entity's triples resolve through a
-      range read.  :meth:`~repro.parallel.ShardPlanner.plan_keys` requires
-      this to partition a corpus by key ranges alone.
+    The :attr:`streams` class attribute advertises a source's memory
+    behaviour so callers (the engine, the CLI ``datasets`` table) can route
+    out-of-core corpora without materialising them: iterating a streaming
+    source holds only a bounded chunk in memory at a time (file and store
+    sources), as opposed to sources that materialise their triples up front
+    (memory, synthetic, json).
     """
 
     #: Whether iteration is chunked/bounded-memory rather than materialised.
     streams: bool = False
-    #: Whether :meth:`iter_entities`/:meth:`entity_triples` are indexed scans.
-    supports_entity_ranges: bool = False
 
     # -- abstract surface -----------------------------------------------------------
     @abc.abstractmethod
@@ -109,34 +101,6 @@ class DataSource(abc.ABC):
     def labels(self) -> dict[tuple[EntityKey, AttributeValue], bool] | None:
         """Ground-truth ``(entity, attribute) -> bool`` labels, when available."""
         return None
-
-    def iter_entities(self) -> Iterator[EntityKey]:
-        """Yield the source's distinct entities in first-seen order.
-
-        The default derivation scans :meth:`iter_triples` with a seen-set
-        (entity keys only — triples are not retained).  Indexed sources
-        (``supports_entity_ranges``) override this with a pure index scan.
-        """
-        seen: set[EntityKey] = set()
-        for triple in self.iter_triples():
-            if triple.entity not in seen:
-                seen.add(triple.entity)
-                yield triple.entity
-
-    def entity_triples(self, entities: Sequence[EntityKey]) -> list[Triple]:
-        """All triples of ``entities``, grouped per entity in the given order.
-
-        Within each entity, triples keep source order.  The default scans
-        :meth:`iter_triples` once and keeps only the requested entities'
-        triples; indexed sources override this with range reads.
-        """
-        wanted = {entity: index for index, entity in enumerate(entities)}
-        grouped: list[list[Triple]] = [[] for _ in wanted]
-        for triple in self.iter_triples():
-            slot = wanted.get(triple.entity)
-            if slot is not None:
-                grouped[slot].append(triple)
-        return [triple for bucket in grouped for triple in bucket]
 
     # -- chunked streaming ----------------------------------------------------------
     def iter_batches(

@@ -16,10 +16,9 @@ Three properties make it out-of-core rather than merely file-backed:
   :func:`~repro.io.partition.seeded_entity_order`, so batch sequences are
   bit-identical to :class:`~repro.io.sources.MemorySource` over the same
   triples;
-* ``supports_entity_ranges`` advertises the indexed scans, which lets
-  :meth:`~repro.parallel.ShardPlanner.plan_keys` partition the corpus by
-  streaming key ranges and lets each shard worker open the store read-only
-  and fetch only its own entities.
+* the same indexed scans let :meth:`~repro.parallel.ShardPlanner.plan`
+  partition an on-disk store by streaming entity keys, and let each shard
+  worker open the store read-only and fetch only its own entities.
 
 Construct directly, via ``as_source("store:///path/to/claims.db")``, or by
 registering the store in the :class:`~repro.io.catalog.DatasetCatalog` with
@@ -60,7 +59,6 @@ class StoreSource(DataSource):
     """
 
     streams = True
-    supports_entity_ranges = True
 
     def __init__(
         self,

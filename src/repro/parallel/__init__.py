@@ -8,10 +8,10 @@ into one engine- and serving-compatible fit.
 * :class:`~repro.parallel.plan.ShardPlanner` — stable hash-partitioning of
   any :class:`~repro.io.DataSource` by entity
   (:func:`repro.io.entity_partition_key`), with optional group routing so
-  entity clusters co-locate; :meth:`~repro.parallel.plan.ShardPlanner.plan_keys`
-  partitions a store-backed source (:mod:`repro.store.claims`) by streaming
-  entity keys alone — workers pull their triples through indexed range
-  reads, so corpora never materialise in the planner;
+  entity clusters co-locate; a source over an on-disk claim store
+  (:mod:`repro.store.claims`) is planned by streaming entity keys alone —
+  workers pull their triples through indexed range reads, so corpora never
+  materialise in the planner;
 * :class:`~repro.parallel.executor.ParallelExecutor` — ``serial`` /
   ``processes`` backends sharing one worker, deterministic for a fixed
   seed across backends;
@@ -27,13 +27,7 @@ Most users never touch this package directly: set
 :class:`~repro.engine.TruthEngine` routes fits through it automatically.
 """
 
-from repro.parallel.executor import (
-    ParallelExecutor,
-    RangeShardTask,
-    ShardTask,
-    fit_shard,
-    fit_shard_range,
-)
+from repro.parallel.executor import ParallelExecutor, ShardTask, fit_shard
 from repro.parallel.merge import (
     MergedFit,
     ShardFit,
@@ -41,21 +35,17 @@ from repro.parallel.merge import (
     merge_shard_fits,
     shard_artifact,
 )
-from repro.parallel.plan import KeyShard, KeyShardPlan, Shard, ShardPlan, ShardPlanner
+from repro.parallel.plan import Shard, ShardPlan, ShardPlanner
 
 __all__ = [
     "Shard",
     "ShardPlan",
-    "KeyShard",
-    "KeyShardPlan",
     "ShardPlanner",
     "ShardTask",
-    "RangeShardTask",
     "ShardFit",
     "MergedFit",
     "ParallelExecutor",
     "fit_shard",
-    "fit_shard_range",
     "merge_shard_fits",
     "merge_artifacts",
     "shard_artifact",

@@ -2,7 +2,7 @@
 
 :class:`ParallelExecutor` fits the configured solver on every shard of a
 :class:`~repro.parallel.plan.ShardPlan` and reduces the results with
-:func:`~repro.parallel.merge.merge_shard_fits`.  Three backends share one
+:func:`~repro.parallel.merge.merge_shard_fits`.  Two backends share one
 worker function, so a fit is **deterministic for a fixed seed across
 backends**:
 
@@ -14,11 +14,13 @@ backends**:
 The process handoff is deliberately *object-free*: a shard crosses the
 boundary as its rows exactly as the plan holds them —
 :class:`~repro.types.Triple` tuples, which pickle like plain
-``(entity, attribute, source)`` tuples — plus a JSON-safe encoding of the
-solver hyperparameters (the same type-tagged encoding artifacts use), and
-each worker rebuilds its claim matrix through the vectorized bulk-ingest
-path (:func:`~repro.data.claim_builder.bulk_build_claim_matrix`).  No
-solver, matrix or rich config object is ever pickled — and because *both*
+``(entity, attribute, source)`` tuples — or, for a plan over an on-disk
+claim store, as the store's path and the shard's entity keys.  With it go a
+JSON-safe encoding of the solver hyperparameters (the same type-tagged
+encoding artifacts use), and each worker rebuilds its claim matrix through
+the vectorized bulk-ingest path
+(:func:`~repro.data.claim_builder.bulk_build_claim_matrix`).  No solver,
+matrix or rich config object is ever pickled — and because *both*
 backends round-trip the hyperparameters through that encoding, they see
 byte-identical inputs.
 
@@ -44,14 +46,16 @@ from repro.engine.config import EXECUTION_BACKENDS
 from repro.engine.registry import MethodRegistry, default_registry
 from repro.exceptions import ConfigurationError
 from repro.parallel.merge import MergedFit, ShardFit, merge_shard_fits
-from repro.parallel.plan import KeyShardPlan, ShardPlan
+from repro.parallel.plan import ShardPlan
 
 # The artifact layer's type-tagged (de)serialisation doubles as the worker
 # handoff codec: it is the one place rich params (LTMPriors, quality tables)
 # already round-trip losslessly through plain JSON-safe containers.
 from repro.serving.artifact import _decode_param, _encode_param
+from repro.store.claims import ClaimStore
+from repro.types import EntityKey
 
-__all__ = ["ShardTask", "RangeShardTask", "fit_shard", "fit_shard_range", "ParallelExecutor"]
+__all__ = ["ShardTask", "fit_shard", "ParallelExecutor"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,13 @@ class ShardTask:
         The method's shard-merge strategy (drives what the worker returns).
     triples:
         The shard's raw rows, :class:`~repro.types.Triple` or plain
-        ``(entity, attribute, source)`` tuples.
+        ``(entity, attribute, source)`` tuples (empty for a store task).
+    store_path, entities:
+        For a plan over an on-disk claim store: the store to read and the
+        shard's entity keys in plan order.  The worker reopens the store
+        read-only (SQLite WAL serves any number of concurrent readers) and
+        reads only these entities' triples, so a shard crosses the process
+        boundary as a key list.
     span_context:
         The caller's open span as a plain ``{"trace_id", "span_id"}`` dict
         (``None`` when tracing is off).  Its presence tells the worker to
@@ -90,7 +100,9 @@ class ShardTask:
     params: Mapping[str, Any]
     seed: int | None
     strategy: str
-    triples: tuple[tuple, ...]
+    triples: tuple[tuple, ...] = ()
+    store_path: str | None = None
+    entities: tuple[EntityKey, ...] = ()
     span_context: Mapping[str, Any] | None = None
 
 
@@ -107,6 +119,10 @@ def fit_shard(task: ShardTask, registry: MethodRegistry | None = None) -> ShardF
     the shared default registry (registries do not cross the process
     boundary).
 
+    A store task's triples are read from its claim store first, laid out
+    like the grouped plan's shard (entities in plan order, each entity's
+    triples in ingest order), so both plans produce identical fits.
+
     For the ``trust_sync`` strategy the solver is constructed (validating
     hyperparameters) but not fitted — its iterations run cooperatively in
     the reducer — so the worker only extracts the shard's claim structure.
@@ -118,22 +134,28 @@ def fit_shard(task: ShardTask, registry: MethodRegistry | None = None) -> ShardF
     :attr:`~repro.parallel.merge.ShardFit.spans` as plain dicts for the
     executor to graft into the caller's tree.
     """
+    triples = task.triples
+    if task.store_path is not None:
+        with ClaimStore(task.store_path, read_only=True) as store:
+            triples = tuple(store.entity_triples(task.entities))
     ambient = obs.get_tracer()
     if task.span_context is None and not ambient.enabled:
-        return _fit_shard_impl(task, registry)
+        return _fit_shard_impl(task, triples, registry)
     collector = obs.InMemorySpanCollector()
     tracer = obs.Tracer(collector, clock=ambient.clock)
     with obs.use_tracer(tracer):
         with tracer.span(
-            "shard.fit", shard=task.index, method=task.method, triples=len(task.triples)
+            "shard.fit", shard=task.index, method=task.method, triples=len(triples)
         ) as span:
-            fit = _fit_shard_impl(task, registry)
+            fit = _fit_shard_impl(task, triples, registry)
             span.set(facts=fit.num_facts, sources=len(fit.source_names))
     return dataclasses.replace(fit, spans=tuple(collector.spans))
 
 
-def _fit_shard_impl(task: ShardTask, registry: MethodRegistry | None) -> ShardFit:
-    matrix = bulk_build_claim_matrix(task.triples)
+def _fit_shard_impl(
+    task: ShardTask, triples: tuple[tuple, ...], registry: MethodRegistry | None
+) -> ShardFit:
+    matrix = bulk_build_claim_matrix(triples)
     params = {key: _decode_param(value) for key, value in dict(task.params).items()}
     if task.seed is not None:
         params["seed"] = int(task.seed)
@@ -176,66 +198,6 @@ def _fit_shard_impl(task: ShardTask, registry: MethodRegistry | None) -> ShardFi
         quality=quality,
         runtime_seconds=runtime,
     )
-
-
-@dataclass(frozen=True)
-class RangeShardTask:
-    """One out-of-core unit of work: entity keys plus the store to read.
-
-    The out-of-core counterpart of :class:`ShardTask`: instead of carrying
-    its triples, the task carries the claim-store *path* and its entity
-    keys.  The worker re-opens the store read-only (SQLite WAL supports any
-    number of concurrent readers, across processes) and pulls exactly its
-    own entities' triples through indexed range reads — so a shard of a
-    100M-triple corpus crosses the process boundary as a key list.
-    """
-
-    index: int
-    num_shards: int
-    method: str
-    params: Mapping[str, Any]
-    seed: int | None
-    strategy: str
-    store_path: str
-    entities: tuple[str, ...]
-    span_context: Mapping[str, Any] | None = None
-
-
-def fit_shard_range(task: RangeShardTask, registry: MethodRegistry | None = None) -> ShardFit:
-    """Fetch a range task's triples from its store and fit the shard.
-
-    Module-level and picklable (the process-pool entry point for
-    :class:`KeyShardPlan` execution).  The store fetch preserves the eager
-    plan's triple layout — entities in plan order, each entity's triples in
-    ingest order — so the resulting :class:`ShardFit` is identical to the
-    one :func:`fit_shard` produces from a materialised :class:`ShardTask`.
-    """
-    from repro.store.claims import ClaimStore
-
-    with ClaimStore(task.store_path, read_only=True) as store:
-        triples = tuple(store.entity_triples(list(task.entities)))
-    return fit_shard(
-        ShardTask(
-            index=task.index,
-            num_shards=task.num_shards,
-            method=task.method,
-            params=task.params,
-            seed=task.seed,
-            strategy=task.strategy,
-            triples=triples,
-            span_context=task.span_context,
-        ),
-        registry=registry,
-    )
-
-
-def _fit_task(
-    task: "ShardTask | RangeShardTask", registry: MethodRegistry | None = None
-) -> ShardFit:
-    """Backend-agnostic worker dispatch (module-level for process pools)."""
-    if isinstance(task, RangeShardTask):
-        return fit_shard_range(task, registry=registry)
-    return fit_shard(task, registry=registry)
 
 
 class ParallelExecutor:
@@ -286,7 +248,7 @@ class ParallelExecutor:
     # -- fitting ---------------------------------------------------------------------
     def fit(
         self,
-        plan: ShardPlan | KeyShardPlan,
+        plan: ShardPlan,
         method: str,
         params: Mapping[str, Any] | None = None,
         *,
@@ -298,11 +260,10 @@ class ParallelExecutor:
         Parameters
         ----------
         plan:
-            The entity-shard plan (empty shards are skipped).  A
-            materialised :class:`~repro.parallel.plan.ShardPlan` carries its
-            triples; a :class:`~repro.parallel.plan.KeyShardPlan` carries
-            only entity keys, and each worker streams its shard's triples
-            from the plan's claim store via indexed range reads.
+            The entity-shard plan (empty shards are skipped).  A grouped
+            plan carries its triples; a plan with a ``store_path`` carries
+            only entity keys, and each worker reads its shard's triples
+            from that claim store via indexed range reads.
         method:
             Registry key of the solver; it must declare a
             :attr:`~repro.engine.registry.MethodSpec.shard_strategy`.
@@ -349,36 +310,21 @@ class ParallelExecutor:
         )
         tracer = obs.get_tracer()
         context = tracer.current_context() if tracer.enabled else None
-        tasks: list[ShardTask | RangeShardTask]
-        if isinstance(plan, KeyShardPlan):
-            tasks = [
-                RangeShardTask(
-                    index=shard.index,
-                    num_shards=plan.num_shards,
-                    method=spec.key,
-                    params=encoded,
-                    seed=seeds[shard.index],
-                    strategy=spec.shard_strategy,
-                    store_path=plan.store_path,
-                    entities=tuple(str(entity) for entity in shard.entities),
-                    span_context=context,
-                )
-                for shard in plan.non_empty()
-            ]
-        else:
-            tasks = [
-                ShardTask(
-                    index=shard.index,
-                    num_shards=plan.num_shards,
-                    method=spec.key,
-                    params=encoded,
-                    seed=seeds[shard.index],
-                    strategy=spec.shard_strategy,
-                    triples=shard.triples,
-                    span_context=context,
-                )
-                for shard in plan.non_empty()
-            ]
+        tasks = [
+            ShardTask(
+                index=shard.index,
+                num_shards=plan.num_shards,
+                method=spec.key,
+                params=encoded,
+                seed=seeds[shard.index],
+                strategy=spec.shard_strategy,
+                triples=shard.triples,
+                store_path=plan.store_path,
+                entities=shard.entities if plan.store_path is not None else (),
+                span_context=context,
+            )
+            for shard in plan.non_empty()
+        ]
         if not tasks:
             raise ConfigurationError("cannot execute an empty shard plan (no triples)")
         fits = self._run(tasks, resolved)
@@ -402,18 +348,16 @@ class ParallelExecutor:
                 num_shards=plan.num_shards,
             )
 
-    def _run(
-        self, tasks: "list[ShardTask | RangeShardTask]", registry: MethodRegistry
-    ) -> list[ShardFit]:
+    def _run(self, tasks: list[ShardTask], registry: MethodRegistry) -> list[ShardFit]:
         """Dispatch ``tasks`` on the configured backend."""
         if self.backend == "serial" or len(tasks) == 1:
-            return [_fit_task(task, registry=registry) for task in tasks]
+            return [fit_shard(task, registry=registry) for task in tasks]
         workers = self.max_workers
         if workers is None:
             workers = min(len(tasks), os.cpu_count() or 1)
         workers = min(workers, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_fit_task, tasks))
+            return list(pool.map(fit_shard, tasks))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelExecutor(backend={self.backend!r}, max_workers={self.max_workers})"

@@ -16,6 +16,13 @@ shard in every process, on every machine, in every run.  An optional
 assignment of :class:`~repro.extensions.entity_clusters.EntityClusteredLTM`,
 whose cluster-specific quality estimation requires a cluster's entities to be
 fitted in one shard.
+
+A :class:`~repro.io.store_source.StoreSource` over an on-disk claim store is
+planned by entity *keys* alone: the planner streams keys off the store's
+first-seen index and records the store's path on the plan, and each worker
+reads its own entities' triples from the store (the range-skipping read of
+provenance-based data skipping).  Every other input is grouped by entity in
+memory.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from repro.exceptions import ConfigurationError
 from repro.io.partition import entity_partition_key
 from repro.types import EntityKey, Triple
 
-__all__ = ["Shard", "ShardPlan", "KeyShard", "KeyShardPlan", "ShardPlanner"]
+__all__ = ["Shard", "ShardPlan", "ShardPlanner"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +50,8 @@ class Shard:
         Entities routed to this shard, in first-seen order.
     triples:
         The shard's raw triples — all triples of its entities, grouped by
-        entity in first-seen order.
+        entity in first-seen order.  Empty for a store plan, whose workers
+        read the triples from the store.
     """
 
     index: int
@@ -73,11 +81,16 @@ class ShardPlan:
     keys, the seed and ``num_shards`` — never on arrival order — so
     re-planning the same corpus (or a superset streamed later) routes every
     known entity identically.
+
+    ``store_path`` is set when the plan holds entity keys only: the triples
+    stay in that claim store, and each worker reads its shard's entities
+    from it read-only.
     """
 
     num_shards: int
     partition_seed: int
     shards: tuple[Shard, ...]
+    store_path: str | None = None
 
     @property
     def num_triples(self) -> int:
@@ -90,8 +103,8 @@ class ShardPlan:
         return sum(shard.num_entities for shard in self.shards)
 
     def non_empty(self) -> list[Shard]:
-        """The shards that actually hold triples, in index order."""
-        return [shard for shard in self.shards if shard.num_triples]
+        """The shards that hold entities (hence triples), in index order."""
+        return [shard for shard in self.shards if shard.num_entities]
 
     def __iter__(self) -> Iterator[Shard]:
         return iter(self.shards)
@@ -99,60 +112,6 @@ class ShardPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = [shard.num_triples for shard in self.shards]
         return f"ShardPlan(num_shards={self.num_shards}, triples={sizes})"
-
-
-@dataclass(frozen=True)
-class KeyShard:
-    """One shard of a key-range plan: entity *keys* only, no triples.
-
-    The triples stay in the backing claim store; each worker resolves its
-    entities through indexed range reads at fit time.  Entities are listed
-    in global first-seen order, so a worker's fetched triples are laid out
-    exactly like the corresponding :class:`Shard` of an eager plan.
-    """
-
-    index: int
-    entities: tuple[EntityKey, ...]
-
-    @property
-    def num_entities(self) -> int:
-        """Number of entities routed to this shard."""
-        return len(self.entities)
-
-    def __len__(self) -> int:
-        return len(self.entities)
-
-
-@dataclass(frozen=True)
-class KeyShardPlan:
-    """The output of :meth:`ShardPlanner.plan_keys`: an out-of-core plan.
-
-    Unlike :class:`ShardPlan`, no triples are held — only entity keys plus
-    the path of the claim store they live in, so a 100M-triple corpus plans
-    in memory proportional to its *entity* count and shards cross process
-    boundaries as key lists, not data.
-    """
-
-    num_shards: int
-    partition_seed: int
-    shards: tuple[KeyShard, ...]
-    store_path: str
-
-    @property
-    def num_entities(self) -> int:
-        """Total entities across all shards."""
-        return sum(shard.num_entities for shard in self.shards)
-
-    def non_empty(self) -> list[KeyShard]:
-        """The shards that hold entities (hence triples), in index order."""
-        return [shard for shard in self.shards if shard.num_entities]
-
-    def __iter__(self) -> Iterator[KeyShard]:
-        return iter(self.shards)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = [shard.num_entities for shard in self.shards]
-        return f"KeyShardPlan(num_shards={self.num_shards}, entities={sizes})"
 
 
 class ShardPlanner:
@@ -205,23 +164,40 @@ class ShardPlanner:
 
         ``data`` is anything :func:`repro.io.as_source` accepts — a
         :class:`~repro.io.DataSource`, a catalog key, a file path, a
-        :class:`~repro.data.raw.RawDatabase` or a plain triple iterable.
-        One pass over :meth:`~repro.io.DataSource.iter_triples` groups the
+        ``store://`` URL, a :class:`~repro.data.raw.RawDatabase` or a plain
+        triple iterable.
+
+        A :class:`~repro.io.store_source.StoreSource` over an on-disk claim
+        store is planned from :meth:`~repro.io.store_source.StoreSource.iter_entities`
+        alone — memory proportional to the entity count, never the triples —
+        and the plan records the store's path.  Any other input takes one
+        pass over :meth:`~repro.io.DataSource.iter_triples` that groups the
         triples by entity; each entity is then hashed once and its triples
-        are stored contiguously in its shard.  Within a shard, entities keep
-        first-seen order and each entity's triples keep source order.
+        are stored contiguously in its shard.  Either way, within a shard
+        entities keep first-seen order (and each entity's triples keep
+        source order), and membership is identical.
         """
         from repro.io.catalog import as_source
+        from repro.io.store_source import StoreSource
 
-        by_entity: defaultdict[EntityKey, list[Triple]] = defaultdict(list)
-        for triple in as_source(data).iter_triples():
-            by_entity[triple.entity].append(triple)
-        triples: list[list[Triple]] = [[] for _ in range(self.num_shards)]
+        source = as_source(data)
         entities: list[list[EntityKey]] = [[] for _ in range(self.num_shards)]
-        for entity, rows in by_entity.items():
-            shard = self.shard_of(entity)
-            entities[shard].append(entity)
-            triples[shard].extend(rows)
+        triples: list[list[Triple]] = [[] for _ in range(self.num_shards)]
+        store_path: str | None = None
+        if isinstance(source, StoreSource) and source.store.path != ":memory:":
+            # An in-memory store cannot be reopened by a worker, so it is
+            # grouped like any other source below.
+            store_path = source.store.path
+            for entity in source.iter_entities():
+                entities[self.shard_of(entity)].append(entity)
+        else:
+            by_entity: defaultdict[EntityKey, list[Triple]] = defaultdict(list)
+            for triple in source.iter_triples():
+                by_entity[triple.entity].append(triple)
+            for entity, rows in by_entity.items():
+                shard = self.shard_of(entity)
+                entities[shard].append(entity)
+                triples[shard].extend(rows)
         return ShardPlan(
             num_shards=self.num_shards,
             partition_seed=self.seed,
@@ -229,44 +205,7 @@ class ShardPlanner:
                 Shard(index=i, entities=tuple(entities[i]), triples=tuple(triples[i]))
                 for i in range(self.num_shards)
             ),
-        )
-
-    def plan_keys(self, data: Any) -> KeyShardPlan:
-        """Partition an indexed, store-backed source by streaming key ranges.
-
-        ``data`` must coerce to a source advertising
-        :attr:`~repro.io.DataSource.supports_entity_ranges` over an on-disk
-        claim store (a :class:`~repro.io.store_source.StoreSource` or a
-        ``store://`` URL).  Only entity *keys* stream through the planner —
-        off the store's first-seen covering index — so planning a corpus
-        needs memory proportional to its entity count, never its triples.
-        Shard membership is identical to :meth:`plan` over the same corpus.
-        """
-        from repro.io.catalog import as_source
-
-        source = as_source(data)
-        if not getattr(source, "supports_entity_ranges", False):
-            raise ConfigurationError(
-                f"{type(source).__name__} does not support indexed entity ranges; "
-                f"plan_keys needs a store-backed source (store://path/to/claims.db)"
-            )
-        store = getattr(source, "store", None)
-        if store is None or not getattr(store, "path", None):
-            raise ConfigurationError(
-                "plan_keys needs a source backed by an on-disk claim store "
-                "(workers re-open it by path)"
-            )
-        entities: list[list[EntityKey]] = [[] for _ in range(self.num_shards)]
-        for entity in source.iter_entities():
-            entities[self.shard_of(entity)].append(entity)
-        return KeyShardPlan(
-            num_shards=self.num_shards,
-            partition_seed=self.seed,
-            shards=tuple(
-                KeyShard(index=i, entities=tuple(entities[i]))
-                for i in range(self.num_shards)
-            ),
-            store_path=str(store.path),
+            store_path=store_path,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

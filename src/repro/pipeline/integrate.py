@@ -53,6 +53,19 @@ class IntegrationResult:
     truth_result: TruthResult | None = None
     claims: ClaimMatrix | None = None
 
+    @classmethod
+    def from_engine(cls, engine: TruthEngine) -> "IntegrationResult":
+        """The result of ``engine``'s last fit."""
+        truth_result = engine.result()
+        return cls(
+            merged_records=engine.merged_records(),
+            rejected_records=engine.rejected_records(),
+            fact_scores=engine.fact_scores,
+            source_quality=truth_result.source_quality,
+            truth_result=truth_result,
+            claims=engine.claims(),
+        )
+
     def accepted_values(self, entity: str) -> list[str]:
         """Accepted attribute values of ``entity`` (empty when unknown)."""
         return list(self.merged_records.get(entity, ()))
@@ -113,13 +126,4 @@ def run_integration(
         threshold=threshold,
         execution=execution if execution is not None else ExecutionConfig(),
     )
-    engine = TruthEngine(config, solver=solver).fit(data)
-    truth_result = engine.result()
-    return IntegrationResult(
-        merged_records=engine.merged_records(),
-        rejected_records=engine.rejected_records(),
-        fact_scores=engine.fact_scores,
-        source_quality=truth_result.source_quality,
-        truth_result=truth_result,
-        claims=engine.claims(),
-    )
+    return IntegrationResult.from_engine(TruthEngine(config, solver=solver).fit(data))

@@ -1,14 +1,11 @@
-"""Disk-backed storage backends for the out-of-core claim store.
+"""The SQLite connection behind the out-of-core claim store.
 
-The in-memory :class:`~repro.store.Table` holds only the rows of a
-:class:`~repro.data.raw.RawDatabase`; this module is the seam to the *disk*
-tier.  :class:`StorageBackend` pins down the narrow DB-API 2.0 surface
-:class:`~repro.store.claims.ClaimStore` actually needs — execute, batched
-``executemany``, chunked row streaming, transactions — so any conforming
-driver can back a claim store.  :class:`SQLiteBackend` is the bundled default
-(stdlib ``sqlite3``): append-optimised with WAL journaling, so concurrent
-readers (shard workers, a serving fit) stream index ranges while a single
-writer appends.
+:class:`SQLiteBackend` wraps the one stdlib ``sqlite3`` connection a
+:class:`~repro.store.claims.ClaimStore` owns: execute, batched
+``executemany``, chunked row streaming and transactions, with every
+``sqlite3.Error`` raised as :class:`~repro.exceptions.StoreError`.  It is
+append-optimised with WAL journaling, so concurrent readers (shard workers,
+a serving fit) stream index ranges while a single writer appends.
 
 Schema DDL and versioning live with the store that owns the tables
 (:mod:`repro.store.claims`); the backend is storage, not schema.
@@ -16,7 +13,6 @@ Schema DDL and versioning live with the store that owns the tables
 
 from __future__ import annotations
 
-import abc
 import sqlite3
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,101 +20,14 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.exceptions import StoreError
 
-__all__ = ["StorageBackend", "SQLiteBackend"]
+__all__ = ["SQLiteBackend"]
 
 #: Rows fetched per round-trip when streaming a query result.
 DEFAULT_CHUNK_ROWS = 4096
 
 
-class StorageBackend(abc.ABC):
-    """The DB-API 2.0 surface a :class:`~repro.store.claims.ClaimStore` uses.
-
-    Implementations own exactly one connection.  SQL is written with the
-    backend's :attr:`placeholder` parameter marker, so a ``qmark`` and a
-    ``format`` driver can both plug in without string surgery in the store.
-    """
-
-    #: DB-API parameter marker of the driver (``"?"`` for sqlite3).
-    placeholder: str = "?"
-
-    @abc.abstractmethod
-    def execute(self, sql: str, params: Sequence[Any] = ()) -> Any:
-        """Run one statement and return its cursor."""
-
-    @abc.abstractmethod
-    def executemany(self, sql: str, rows: Iterable[Sequence[Any]]) -> None:
-        """Run one statement against every row of ``rows`` (batched ingest)."""
-
-    @abc.abstractmethod
-    def commit(self) -> None:
-        """Commit the current transaction."""
-
-    @abc.abstractmethod
-    def rollback(self) -> None:
-        """Roll back the current transaction."""
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Close the connection (idempotent)."""
-
-    def fetch_one(self, sql: str, params: Sequence[Any] = ()) -> tuple | None:
-        """Run ``sql`` and return its first row (or ``None``)."""
-        cursor = self.execute(sql, params)
-        try:
-            return cursor.fetchone()
-        finally:
-            cursor.close()
-
-    def iter_rows(
-        self,
-        sql: str,
-        params: Sequence[Any] = (),
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    ) -> Iterator[tuple]:
-        """Stream the result of ``sql`` in ``chunk_rows``-sized fetches.
-
-        This is the out-of-core read path: peak memory is one fetch chunk,
-        never the full result set.
-        """
-        cursor = self.execute(sql, params)
-        try:
-            while True:
-                rows = cursor.fetchmany(chunk_rows)
-                if not rows:
-                    return
-                yield from rows
-        finally:
-            cursor.close()
-
-    def begin(self) -> None:
-        """Open an explicit transaction.
-
-        Connections run in autocommit between transactions (so PRAGMAs and
-        VACUUM work unwrapped); :meth:`transaction` brackets multi-statement
-        work with an explicit ``BEGIN`` to make it atomic.
-        """
-        self.execute("BEGIN").close()
-
-    @contextmanager
-    def transaction(self) -> Iterator["StorageBackend"]:
-        """Group statements into one transaction (commit / rollback on error)."""
-        self.begin()
-        try:
-            yield self
-        except BaseException:
-            self.rollback()
-            raise
-        self.commit()
-
-    def __enter__(self) -> "StorageBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-class SQLiteBackend(StorageBackend):
-    """The bundled stdlib ``sqlite3`` backend.
+class SQLiteBackend:
+    """The claim store's stdlib ``sqlite3`` connection.
 
     Opened connections are tuned for the claim store's append-heavy,
     scan-heavy workload:
@@ -142,8 +51,6 @@ class SQLiteBackend(StorageBackend):
     timeout:
         Seconds a statement waits on a locked database before failing.
     """
-
-    placeholder = "?"
 
     def __init__(
         self,
@@ -211,6 +118,61 @@ class SQLiteBackend(StorageBackend):
         if self._connection is not None:
             self._connection.close()
             self._connection = None
+
+    def fetch_one(self, sql: str, params: Sequence[Any] = ()) -> tuple | None:
+        """Run ``sql`` and return its first row (or ``None``)."""
+        cursor = self.execute(sql, params)
+        try:
+            return cursor.fetchone()
+        finally:
+            cursor.close()
+
+    def iter_rows(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    ) -> Iterator[tuple]:
+        """Stream the result of ``sql`` in ``chunk_rows``-sized fetches.
+
+        This is the out-of-core read path: peak memory is one fetch chunk,
+        never the full result set.
+        """
+        cursor = self.execute(sql, params)
+        try:
+            while True:
+                rows = cursor.fetchmany(chunk_rows)
+                if not rows:
+                    return
+                yield from rows
+        finally:
+            cursor.close()
+
+    def begin(self) -> None:
+        """Open an explicit transaction.
+
+        Connections run in autocommit between transactions (so PRAGMAs and
+        VACUUM work unwrapped); :meth:`transaction` brackets multi-statement
+        work with an explicit ``BEGIN`` to make it atomic.
+        """
+        self.execute("BEGIN").close()
+
+    @contextmanager
+    def transaction(self) -> Iterator["SQLiteBackend"]:
+        """Group statements into one transaction (commit / rollback on error)."""
+        self.begin()
+        try:
+            yield self
+        except BaseException:
+            self.rollback()
+            raise
+        self.commit()
+
+    def __enter__(self) -> "SQLiteBackend":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "ro" if self.read_only else "rw"

@@ -1,8 +1,7 @@
 """Disk-backed, append-only claim store with indexed entity scans.
 
-This is the out-of-core tier of the storage engine: the in-memory
-:class:`~repro.store.Table` substrate holds a working set,
-:class:`ClaimStore` holds the corpus.  Triples land in an
+This is the out-of-core tier of the storage engine: :class:`ClaimStore`
+holds a corpus too large for memory.  Triples land in an
 append-only ``claims`` log (one *generation* per ``append`` call) with
 covering indexes on entity and source, so the two access patterns the LTM
 pipeline needs —
@@ -30,7 +29,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import StoreError
 from repro.obs import engine_metrics, get_tracer
-from repro.store.backend import DEFAULT_CHUNK_ROWS, SQLiteBackend, StorageBackend
+from repro.store.backend import DEFAULT_CHUNK_ROWS, SQLiteBackend
 from repro.types import EntityKey, Triple, triple_columns
 
 __all__ = ["ClaimStore", "SCHEMA_VERSION"]
@@ -98,28 +97,15 @@ class ClaimStore:
     Parameters
     ----------
     path:
-        SQLite database file (``":memory:"`` for tests), ignored when an
-        explicit ``backend`` is supplied.
+        SQLite database file (``":memory:"`` for tests).
     read_only:
         Open for concurrent scanning only (shard workers); writes raise.
-    backend:
-        A pre-built :class:`~repro.store.backend.StorageBackend` to use
-        instead of the bundled SQLite one (pluggable DB-API seam).
     """
 
-    def __init__(
-        self,
-        path: str | Path = ":memory:",
-        *,
-        read_only: bool = False,
-        backend: StorageBackend | None = None,
-    ):
+    def __init__(self, path: str | Path = ":memory:", *, read_only: bool = False):
         self.path = str(path)
         self.read_only = bool(read_only)
-        if backend is not None:
-            self._backend = backend
-        else:
-            self._backend = SQLiteBackend(self.path, read_only=read_only)
+        self._backend = SQLiteBackend(self.path, read_only=read_only)
         if read_only:
             self._check_schema_version()
         else:

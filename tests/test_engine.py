@@ -129,6 +129,18 @@ class TestTruthEngine:
         with pytest.raises(ConfigurationError, match="unknown method"):
             TruthEngine(method="nope")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: run_integration("paper_example", method="voting", seed=7),
+            lambda: TruthEngine(EngineConfig(method="voting", params={"seed": 7})),
+        ],
+        ids=["run_integration", "engine_config_params"],
+    )
+    def test_config_params_checked_at_construction(self, build):
+        with pytest.raises(ConfigurationError, match="does not accept parameter"):
+            build()
+
     def test_non_claim_based_method_rejected_at_fit(self, paper_triples):
         engine = TruthEngine(method="gaussian_ltm")
         with pytest.raises(ConfigurationError, match="cannot be driven"):

@@ -59,8 +59,8 @@ class TestStoreSource:
             assert info.name == "claims"
             assert info.num_triples == len(TRIPLES)
             assert info.metadata["entities"] == 3
-        assert StoreSource.streams and StoreSource.supports_entity_ranges
-        assert not MemorySource.streams and not MemorySource.supports_entity_ranges
+        assert StoreSource.streams
+        assert not MemorySource.streams
 
     def test_iter_triples_matches_ingest_order(self, store_path):
         with StoreSource(store_path) as source:

@@ -144,6 +144,16 @@ class TestEngineFitSpans:
         assert 'repro_engine_triples_ingested_total{path="fit"}' in rendered
         assert "repro_gibbs_flip_fraction_count 1" in rendered
 
+    def test_discover_labels_fit_with_method_key(self):
+        import repro
+        from repro.engine import default_registry
+
+        repro.discover("paper_example", method="voting")
+        repro.discover("paper_example", method="voting", registry=default_registry())
+        rendered = global_registry().render()
+        assert 'repro_engine_fits_total{method="voting",mode="batch"} 2' in rendered
+        assert 'method="ltm"' not in rendered
+
 
 # ---------------------------------------------------------------------------
 # sharded fits: one merged tree across workers

@@ -552,7 +552,7 @@ class TestExecutorSurface:
 # Out-of-core key-range plans (ISSUE 7)
 # ---------------------------------------------------------------------------
 class TestKeyShardPlans:
-    """plan_keys + RangeShardTask: sharding without materialising the corpus."""
+    """plan() over an on-disk store: sharding without materialising the corpus."""
 
     def _triples(self, num_entities=16):
         triples = []
@@ -576,9 +576,11 @@ class TestKeyShardPlans:
 
         planner = ShardPlanner(4, seed=3)
         with StoreSource(store_path) as source:
-            keyed = planner.plan_keys(source)
-            eager = planner.plan(source)
+            keyed = planner.plan(source)
+        eager = planner.plan(self._triples())
         assert keyed.store_path == str(store_path)
+        assert eager.store_path is None
+        assert keyed.num_triples == 0
         assert keyed.num_entities == eager.num_entities
         for key_shard, shard in zip(keyed.shards, eager.shards):
             assert key_shard.entities == shard.entities
@@ -587,18 +589,15 @@ class TestKeyShardPlans:
         ]
 
     def test_plan_keys_accepts_store_urls(self, store_path):
-        plan = ShardPlanner(2).plan_keys(f"store://{store_path}")
+        plan = ShardPlanner(2).plan(f"store://{store_path}")
+        assert plan.store_path == str(store_path)
         assert plan.num_entities == 16
-
-    def test_plan_keys_rejects_unindexed_sources(self):
-        with pytest.raises(ConfigurationError, match="plan_keys"):
-            ShardPlanner(2).plan_keys(MemorySource([("e", "a", "s")]))
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_range_fit_is_score_identical_to_eager_fit(self, store_path, backend):
         planner = ShardPlanner(3, seed=1)
-        keyed = planner.plan_keys(f"store://{store_path}")
-        eager = planner.plan(f"store://{store_path}")
+        keyed = planner.plan(f"store://{store_path}")
+        eager = planner.plan(self._triples())
         executor = ParallelExecutor(backend)
         from_keys = executor.fit(keyed, "voting")
         from_triples = executor.fit(eager, "voting")
@@ -608,19 +607,19 @@ class TestKeyShardPlans:
         planner = ShardPlanner(2, seed=0)
         params = {"iterations": 30, "seed": 11}
         from_keys = ParallelExecutor("serial").fit(
-            planner.plan_keys(f"store://{store_path}"), "ltm", params,
+            planner.plan(f"store://{store_path}"), "ltm", params,
             quality_sync_rounds=1,
         )
         from_triples = ParallelExecutor("serial").fit(
-            planner.plan(f"store://{store_path}"), "ltm", params,
+            planner.plan(self._triples()), "ltm", params,
             quality_sync_rounds=1,
         )
         assert from_keys.fact_scores() == from_triples.fact_scores()
 
     def test_fit_shard_range_reopens_the_store_read_only(self, store_path):
-        from repro.parallel import RangeShardTask, fit_shard_range
+        from repro.parallel import ShardTask, fit_shard
 
-        task = RangeShardTask(
+        task = ShardTask(
             index=0,
             num_shards=1,
             method="voting",
@@ -630,7 +629,21 @@ class TestKeyShardPlans:
             store_path=str(store_path),
             entities=("e0", "e1"),
         )
-        fit = fit_shard_range(task)
+        fit = fit_shard(task)
         # 2 entities x (1 true fact + 1 junk fact) each.
         assert fit.num_facts == 4
         assert sorted(set(fit.fact_entities)) == ["e0", "e1"]
+
+    def test_in_memory_store_fits_like_its_triples(self):
+        from repro.io import StoreSource
+        from repro.store import ClaimStore
+
+        store = ClaimStore(":memory:")
+        store.append(self._triples())
+        execution = ExecutionConfig(num_shards=3, backend="serial")
+        config = EngineConfig(method="voting", execution=execution)
+        from_store = TruthEngine(config).fit(StoreSource(store))
+        from_triples = TruthEngine(config).fit(self._triples())
+        assert from_store.fact_scores == from_triples.fact_scores
+        # A worker cannot reopen an in-memory store, so it is planned by triples.
+        assert ShardPlanner(3).plan(StoreSource(store)).store_path is None
