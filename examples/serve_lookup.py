@@ -25,8 +25,8 @@ import tempfile
 from pathlib import Path
 
 from repro import EngineConfig, TruthEngine, as_source
+from repro.io import split_prefix
 from repro.serving import TruthArtifact, TruthService
-from repro.streaming import ClaimStream
 
 
 def main() -> None:
@@ -35,7 +35,7 @@ def main() -> None:
     print("1) Training LTM on the simulated movie feed ...")
     source = as_source("movies", seed=5, num_movies=300, labelled_movies=50)
     triples = list(source.iter_triples())
-    historical, future = ClaimStream.split_prefix(triples, fraction=0.7, seed=1)
+    historical, future = split_prefix(triples, fraction=0.7, seed=1)
     engine = TruthEngine(EngineConfig(
         method="ltm",
         params={"iterations": 80, "seed": 11},

@@ -6,9 +6,11 @@ posterior of Equation (3) — no re-sampling — and the model is periodically
 re-fitted on the accumulated data.
 
 The data side is the unified :mod:`repro.io` API: the crawl comes from the
-dataset catalog (``as_source("books", ...)``), and the stream is chunked with
-``DataSource.iter_batches`` feeding ``TruthEngine.partial_fit`` batch by
-batch — the full claim table is never materialised.
+dataset catalog (``as_source("books", ...)``), ``split_prefix`` cuts it into
+a history and a stream by entity, and the stream is chunked into whole-entity
+batches with ``DataSource.iter_batches(n, by_entity=True)`` feeding
+``TruthEngine.partial_fit`` batch by batch — the full claim table is never
+materialised.
 
 Run with::
 
@@ -19,8 +21,7 @@ import numpy as np
 
 from repro import EngineConfig, TruthEngine, as_source
 from repro.evaluation import evaluate_scores
-from repro.io import MemorySource
-from repro.streaming import ClaimStream
+from repro.io import MemorySource, split_prefix
 
 
 def main() -> None:
@@ -29,7 +30,7 @@ def main() -> None:
     dataset = source.to_dataset()
 
     triples = list(source.iter_triples())
-    historical, future = ClaimStream.split_prefix(triples, fraction=0.4, seed=1)
+    historical, future = split_prefix(triples, fraction=0.4, seed=1)
     print(f"history: {len(historical)} triples, stream: {len(future)} triples")
 
     engine = TruthEngine(EngineConfig(

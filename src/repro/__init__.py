@@ -44,6 +44,9 @@ stream through ``fit``,
 ``partial_fit`` and the shard planner via
 :class:`~repro.io.StoreSource` (``as_source("store://claims.db")``, CLI:
 ``repro-truth store load|stats|compact``) without ever materialising.
+Arriving data streams as whole-entity batches from
+:meth:`repro.io.DataSource.iter_batches` (``by_entity=True``), ready for
+``TruthEngine.partial_fit``.
 The PR-1-era deprecation shims (``IntegrationPipeline``,
 ``OnlineTruthFinder``, ``repro.baselines.registry``) were removed in 1.4
 after their two-PR deprecation window.
@@ -111,7 +114,6 @@ from repro.synth import (
     MovieDirectorSimulator,
     generate_ltm_dataset,
 )
-from repro.streaming import ClaimStream
 from repro.pipeline import IntegrationResult, run_integration
 from repro.engine import (
     EngineConfig,
@@ -145,7 +147,7 @@ from repro.parallel import (
 from repro.serving import TruthArtifact, TruthService, load_artifact, serve
 from repro.api import APIServer, ASGIClient, TruthAPI, create_app
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "__version__",
@@ -229,7 +231,6 @@ __all__ = [
     "BookAuthorSimulator",
     "MovieDirectorConfig",
     "MovieDirectorSimulator",
-    # streaming / pipeline
-    "ClaimStream",
+    # pipeline
     "IntegrationResult",
 ]

@@ -128,12 +128,3 @@ class ThreeEstimates(TruthMethod):
                 "iterations": self.iterations,
             },
         )
-
-    @staticmethod
-    def _rescale(values: np.ndarray) -> np.ndarray:
-        """Min-max rescale into [0, 1]; constant vectors are passed through clipped."""
-        low = float(values.min()) if values.size else 0.0
-        high = float(values.max()) if values.size else 1.0
-        if high - low < 1e-12:
-            return np.clip(values, 0.0, 1.0)
-        return (values - low) / (high - low)

@@ -215,16 +215,6 @@ def timed_fit(method: TruthMethod, claims: ClaimMatrix) -> tuple[TruthResult, fl
     return result, result.runtime_seconds
 
 
-def validate_scores(scores: np.ndarray, num_facts: int, method: str) -> np.ndarray:
-    """Clip scores into [0, 1] and verify their length; helper for solvers."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (num_facts,):
-        raise EvaluationError(
-            f"{method}: expected scores of shape ({num_facts},), got {scores.shape}"
-        )
-    return np.clip(scores, 0.0, 1.0)
-
-
 def normalise_scores(scores: np.ndarray) -> np.ndarray:
     """Normalise arbitrary non-negative confidence scores into [0, 1] by the maximum.
 

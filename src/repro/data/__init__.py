@@ -17,7 +17,7 @@ flat numpy encoding of the claim table grouped by fact, which every solver in
 :mod:`repro.core` and :mod:`repro.baselines` consumes.
 """
 
-from repro.data.records import Fact, Claim, SourceRecord
+from repro.data.records import Fact, SourceRecord
 from repro.data.raw import RawDatabase
 from repro.data.claim_builder import ClaimTableBuilder, build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
@@ -32,7 +32,6 @@ from repro.data.loaders import (
 
 __all__ = [
     "Fact",
-    "Claim",
     "SourceRecord",
     "RawDatabase",
     "ClaimTableBuilder",

@@ -15,7 +15,7 @@ synthetic data) and dataset metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -372,7 +372,3 @@ class TruthDataset:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TruthDataset(name={self.name!r}, {self.claims!r}, labelled={self.num_labelled})"
-
-
-def _iter_fact_ids(claims: ClaimMatrix) -> Iterator[FactId]:  # pragma: no cover - helper
-    yield from range(claims.num_facts)

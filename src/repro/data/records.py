@@ -1,12 +1,12 @@
-"""Value objects of the truth-finding data model: facts, claims, sources."""
+"""Value objects of the truth-finding data model: facts and sources."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.types import AttributeValue, EntityKey, FactId, Observation, SourceId, SourceName
+from repro.types import AttributeValue, EntityKey, FactId, SourceId, SourceName
 
-__all__ = ["Fact", "Claim", "SourceRecord"]
+__all__ = ["Fact", "SourceRecord"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,20 +31,6 @@ class Fact:
     def pair(self) -> tuple[EntityKey, AttributeValue]:
         """The ``(entity, attribute)`` pair identifying this fact."""
         return (self.entity, self.attribute)
-
-
-@dataclass(frozen=True, slots=True)
-class Claim:
-    """One claim ``(fact, source, observation)`` (Definition 3 of the paper).
-
-    ``observation`` is ``True`` for a positive claim (the source asserted the
-    fact) and ``False`` for a generated negative claim (the source asserted
-    the fact's entity but not this fact).
-    """
-
-    fact_id: FactId
-    source_id: SourceId
-    observation: Observation
 
 
 @dataclass(slots=True)

@@ -69,8 +69,7 @@ from repro.exceptions import (
     NotFittedError,
     StreamError,
 )
-from repro.streaming.stream import ClaimBatch
-from repro.types import Triple, triple_columns
+from repro.types import ClaimBatch, Triple, triple_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.data.raw import RawDatabase
@@ -732,12 +731,15 @@ class TruthEngine:
         cumulative data, or (``config.cumulative=False``) only on the data
         since the last re-fit with learned quality carried over as priors.
 
-        ``data`` may be a :class:`~repro.streaming.stream.ClaimBatch`, raw
+        ``data`` may be a :class:`~repro.types.ClaimBatch`, raw
         triples, any :class:`~repro.io.base.DataSource`, or a
         dataset-catalog key / file path; a source's triples are integrated
         as one batch.  For chunked streaming, loop over
-        ``source.iter_batches(batch_size)`` and ``partial_fit`` each batch —
-        the full claim table is never materialised.  With
+        ``source.iter_batches(n, by_entity=True)`` and ``partial_fit`` each
+        batch — the full claim table is never materialised.  Batches must
+        hold whole entities: a negative claim pairs a fact only with the
+        sources covering the same entity *within the batch*, so a batch
+        that splits an entity loses the other part's negative claims.  With
         ``config.retain_history=False`` the engine additionally drops each
         batch's triples once scored (keeping only the current re-train
         window, if any), so a stream backed by a

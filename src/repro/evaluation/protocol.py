@@ -12,9 +12,6 @@ Two protocols are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
 
 from repro.core.base import TruthMethod, TruthResult
 from repro.core.incremental import IncrementalLTM
@@ -164,10 +161,3 @@ def evaluate_incremental_ltm(
         result=incremental_result,
     )
 
-
-def labelled_scores(result: TruthResult, dataset: TruthDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience: ``(scores, labels)`` arrays over the dataset's labelled facts."""
-    fact_ids: Sequence[int] = dataset.labelled_fact_ids
-    scores = result.scores_for(fact_ids)
-    labels = dataset.labels_array(fact_ids)
-    return scores, labels

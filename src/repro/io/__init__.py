@@ -16,11 +16,12 @@ triple enters through.
   ``"adversarial"``, ``"paper_example"``), mirroring the engine's
   :class:`~repro.engine.registry.MethodRegistry`;
 * :func:`~repro.io.catalog.as_source` — universal coercion used by
-  :class:`~repro.engine.TruthEngine`, :func:`repro.discover`,
-  :class:`~repro.streaming.stream.ClaimStream` and the ``repro-truth`` CLI;
+  :class:`~repro.engine.TruthEngine`, :func:`repro.discover` and
+  the ``repro-truth`` CLI;
 * :func:`~repro.io.partition.entity_partition_key` — the stable, seeded
   entity digest behind sharded execution (:mod:`repro.parallel`) and
-  reproducible entity shuffles.
+  reproducible entity shuffles; :func:`~repro.io.partition.split_prefix`
+  cuts a corpus into a historical prefix and a future stream by entity.
 
 Quickstart::
 
@@ -28,12 +29,12 @@ Quickstart::
     >>> source = as_source("paper_example")
     >>> source.schema().kind
     'memory'
-    >>> sum(len(batch) for batch in source.iter_batches(3))
-    8
+    >>> [batch.entities for batch in source.iter_batches(1, by_entity=True)]
+    [['Harry Potter'], ['Pirates 4']]
 """
 
 from repro.io.base import DataSource, SourceSchema
-from repro.io.partition import entity_partition_key, seeded_entity_order
+from repro.io.partition import entity_partition_key, seeded_entity_order, split_prefix
 from repro.io.sources import (
     DatasetSource,
     JsonDatasetSource,
@@ -66,4 +67,5 @@ __all__ = [
     "entity_partition_key",
     "register_dataset",
     "seeded_entity_order",
+    "split_prefix",
 ]

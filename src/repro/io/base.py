@@ -2,8 +2,8 @@
 
 Historically the library had disjoint ingestion styles — CSV/JSON
 loaders, :class:`~repro.data.raw.RawDatabase`, the synthetic simulators and
-:class:`~repro.streaming.stream.ClaimStream` — and every new workload or
-backend had to hand-wire triples into ``build_dataset`` itself.
+a separate arrival-stream adapter — and every new workload or backend had
+to hand-wire triples into ``build_dataset`` itself.
 
 :class:`DataSource` unifies them behind one chunk-oriented contract:
 
@@ -11,9 +11,10 @@ backend had to hand-wire triples into ``build_dataset`` itself.
 * :meth:`DataSource.iter_triples` — the canonical stream of
   ``(entity, attribute, source)`` assertions;
 * :meth:`DataSource.iter_batches` — the same triples grouped into
-  :class:`~repro.streaming.stream.ClaimBatch` chunks, either a fixed number
-  of triples at a time or entity-grouped (how crawls and feeds deliver
-  data), ready for :meth:`~repro.engine.TruthEngine.partial_fit`;
+  :class:`~repro.types.ClaimBatch` chunks, either a fixed number of
+  triples at a time or entity-grouped (how crawls and feeds deliver data);
+  only entity-grouped batches are
+  :meth:`~repro.engine.TruthEngine.partial_fit` input;
 * :meth:`DataSource.to_dataset` / :meth:`DataSource.to_claim_matrix` — batch
   materialisation through the vectorized bulk-ingest path.
 
@@ -26,16 +27,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from itertools import count, islice
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.data.claim_builder import build_dataset, bulk_build_claim_matrix
 from repro.data.dataset import ClaimMatrix, TruthDataset
 from repro.exceptions import StreamError
+from repro.io.partition import seeded_entity_order
 from repro.obs import get_tracer
-from repro.streaming.stream import ClaimBatch
-from repro.types import AttributeValue, EntityKey, Triple
+from repro.types import AttributeValue, ClaimBatch, EntityKey, Triple
 
 __all__ = ["SourceSchema", "DataSource"]
 
@@ -131,9 +133,13 @@ class DataSource(abc.ABC):
             Triples per batch — or entities per batch when ``by_entity``.
         by_entity:
             Group all triples of an entity into the same batch (how crawls
-            and feeds deliver data, and what
-            :class:`~repro.streaming.stream.ClaimStream` simulates).  This
-            mode materialises the triples once to group them.
+            and feeds deliver data).  This mode materialises the triples
+            once to group them, except on a source with an entity index
+            (:class:`~repro.io.store_source.StoreSource`), which streams
+            its keys and reads one batch at a time.  Only entity-grouped
+            batches are :meth:`~repro.engine.TruthEngine.partial_fit`
+            input: a triple-count batch can split an entity, and each part
+            then loses the negative claims the other part's sources imply.
         shuffle:
             Randomise arrival order (of entities when ``by_entity``, of
             triples otherwise).
@@ -172,61 +178,48 @@ class DataSource(abc.ABC):
     def _batches(
         self, batch_size: int, by_entity: bool, shuffle: bool, seed: int | None
     ) -> Iterator[ClaimBatch]:
-        """The :meth:`iter_batches` body (telemetry-free, for wrapping)."""
-        if by_entity:
-            yield from self._entity_batches(batch_size, shuffle, seed)
-            return
-        if shuffle:
-            triples = list(self.iter_triples())
-            rng = np.random.default_rng(seed)
-            order = rng.permutation(len(triples))
-            triples = [triples[i] for i in order]
-            iterator: Iterator[Triple] = iter(triples)
-        else:
-            iterator = self.iter_triples()
-        index = 0
-        chunk: list[Triple] = []
-        for triple in iterator:
-            chunk.append(triple)
-            if len(chunk) >= batch_size:
-                yield ClaimBatch(index=index, triples=tuple(chunk))
-                index += 1
-                chunk = []
-        if chunk:
-            yield ClaimBatch(index=index, triples=tuple(chunk))
+        """The :meth:`iter_batches` body (telemetry-free, for wrapping).
 
-    def _entity_batches(
-        self, batch_entities: int, shuffle: bool, seed: int | None
-    ) -> Iterator[ClaimBatch]:
-        """Entity-grouped batching (the historical ``ClaimStream`` grouping).
-
-        Entities appear in first-seen order; a *seeded* shuffle reorders
-        them by their seeded :func:`~repro.io.partition.entity_partition_key`
+        One chunk loop serves both modes: it takes ``batch_size`` items at a
+        time — triples, or entity keys from :meth:`_entity_index` — and
+        yields each chunk's rows.  A seeded entity shuffle reorders the keys
+        by their seeded :func:`~repro.io.partition.entity_partition_key`
         digest (ties broken by first-seen position), which is stable across
-        Python versions and hash seeds.  An unseeded shuffle draws a fresh
-        random order each call.
+        Python versions and hash seeds; any other shuffle permutes the items
+        with ``numpy.random.default_rng(seed)``.
         """
-        by_entity: dict[EntityKey, list[Triple]] = {}
-        for triple in self.iter_triples():
-            by_entity.setdefault(triple.entity, []).append(triple)
-        entities = list(by_entity)
+        if by_entity:
+            items, read = self._entity_index()
+        else:
+            items, read = self.iter_triples(), list
         if shuffle:
-            if seed is not None:
-                from repro.io.partition import seeded_entity_order
-
-                entities = seeded_entity_order(entities, seed)
+            items = list(items)
+            if by_entity and seed is not None:
+                items = seeded_entity_order(items, seed)
             else:
-                rng = np.random.default_rng()
-                order = rng.permutation(len(entities))
-                entities = [entities[i] for i in order]
-        batch_index = 0
-        for start in range(0, len(entities), batch_entities):
-            chunk = entities[start : start + batch_entities]
-            batch_triples: list[Triple] = []
-            for entity in chunk:
-                batch_triples.extend(by_entity[entity])
-            yield ClaimBatch(index=batch_index, triples=tuple(batch_triples))
-            batch_index += 1
+                order = np.random.default_rng(seed).permutation(len(items))
+                items = [items[i] for i in order]
+        iterator = iter(items)
+        for index in count():
+            chunk = list(islice(iterator, batch_size))
+            if not chunk:
+                return
+            yield ClaimBatch(index=index, triples=tuple(read(chunk)))
+
+    def _entity_index(
+        self,
+    ) -> tuple[Iterable[EntityKey], Callable[[list[EntityKey]], list[Triple]]]:
+        """Entity keys in first-seen order, and a reader of a key chunk's triples.
+
+        The default groups the materialised triples by entity.  A source with
+        an entity index overrides this to stream its keys and read each
+        chunk's triples on demand
+        (:class:`~repro.io.store_source.StoreSource`).
+        """
+        groups: dict[EntityKey, list[Triple]] = {}
+        for row in self.iter_triples():
+            groups.setdefault(row[0], []).append(row)
+        return groups, lambda chunk: [row for entity in chunk for row in groups[entity]]
 
     # -- batch materialisation ------------------------------------------------------
     def to_claim_matrix(self) -> ClaimMatrix:

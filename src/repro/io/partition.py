@@ -18,17 +18,21 @@ which is
 
 The same digest also drives the seeded entity shuffle of
 :meth:`repro.io.DataSource.iter_batches`, keeping shuffled arrival orders
-reproducible across interpreter runs.
+reproducible across interpreter runs, and :func:`split_prefix` cuts a
+corpus into a historical prefix and a future stream along entity lines.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.types import EntityKey
+import numpy as np
 
-__all__ = ["entity_partition_key", "seeded_entity_order"]
+from repro.exceptions import StreamError
+from repro.types import EntityKey, Triple
+
+__all__ = ["entity_partition_key", "seeded_entity_order", "split_prefix"]
 
 #: Number of digest bytes used for the partition key (64 bits).
 _DIGEST_SIZE = 8
@@ -84,3 +88,25 @@ def seeded_entity_order(entities: Iterable[EntityKey], seed: int) -> list[Entity
         key=lambda item: (entity_partition_key(item[1], seed=seed), item[0]),
     )
     return [entity for _, entity in decorated]
+
+
+def split_prefix(
+    triples: Sequence[Triple], fraction: float, seed: int | None = None
+) -> tuple[list[Triple], list[Triple]]:
+    """Split triples into a historical prefix and a future stream by entity.
+
+    Returns ``(historical, future)`` where roughly ``fraction`` of the
+    entities (and all their triples) land in the historical part.  Rows are
+    read by index, so :class:`~repro.types.Triple` and plain
+    ``(entity, attribute, source)`` tuples split identically.
+    """
+    if not 0.0 < fraction < 1.0:
+        raise StreamError("fraction must lie strictly between 0 and 1")
+    entities = sorted({row[0] for row in triples})
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(entities))
+    cut = max(1, int(round(fraction * len(entities))))
+    historical_entities = {entities[i] for i in order[:cut]}
+    historical = [row for row in triples if row[0] in historical_entities]
+    future = [row for row in triples if row[0] not in historical_entities]
+    return historical, future

@@ -9,11 +9,11 @@ Three properties make it out-of-core rather than merely file-backed:
 * ``iter_triples`` replays the claim log through chunked cursor fetches —
   peak memory is one fetch chunk;
 * ``iter_batches(by_entity=True)`` streams **indexed entity ranges**: the
-  entity order comes from the store's first-seen covering index (an ``ORDER
-  BY first_seq`` index scan, never an in-memory sort of triples), and each
-  batch's triples are pulled by per-entity index range reads.  A seeded
-  shuffle reorders only the entity *keys* via the shared
-  :func:`~repro.io.partition.seeded_entity_order`, so batch sequences are
+  source supplies only its entity keys — from the store's first-seen
+  covering index (an ``ORDER BY first_seq`` index scan, never an in-memory
+  sort of triples) — and a chunk read by per-entity index ranges; the
+  ordering, seeded shuffle and chunk loop are the shared
+  :class:`~repro.io.base.DataSource` ones, so batch sequences are
   bit-identical to :class:`~repro.io.sources.MemorySource` over the same
   triples;
 * the same indexed scans let :meth:`~repro.parallel.ShardPlanner.plan`
@@ -28,15 +28,11 @@ registering the store in the :class:`~repro.io.catalog.DatasetCatalog` with
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Callable, Iterator, Sequence
 
 from repro.exceptions import StreamError
 from repro.io.base import DataSource, SourceSchema
-from repro.io.partition import seeded_entity_order
 from repro.store.claims import ClaimStore
-from repro.streaming.stream import ClaimBatch
 from repro.types import EntityKey, Triple
 
 __all__ = ["StoreSource"]
@@ -111,44 +107,17 @@ class StoreSource(DataSource):
         """Indexed range reads: only the requested entities' triples load."""
         return self._store.entity_triples(entities)
 
-    def _entity_batches(
-        self, batch_entities: int, shuffle: bool, seed: int | None
-    ) -> Iterator[ClaimBatch]:
-        """Entity-grouped batching over index ranges, not materialised triples.
+    def _entity_index(
+        self,
+    ) -> tuple[Iterator[EntityKey], Callable[[list[EntityKey]], list[Triple]]]:
+        """Entity keys streamed off the first-seen index, read by range per chunk.
 
-        Unshuffled, entity keys stream straight off the first-seen index and
-        each batch fetches its ``batch_entities`` entities' triples by range
-        reads — peak memory is one batch, regardless of corpus size.  A
-        seeded shuffle must rank *every* entity, so the entity **keys** (and
-        only the keys) are collected and reordered with the shared
-        :func:`~repro.io.partition.seeded_entity_order`; triples still load
-        one batch at a time.
+        Unshuffled, each batch costs one
+        :meth:`~repro.store.claims.ClaimStore.entity_triples` call and
+        peak memory is one batch, regardless of corpus size; a shuffle
+        collects the entity **keys** (and only the keys).
         """
-        if shuffle:
-            entities = list(self.iter_entities())
-            if seed is not None:
-                entities = seeded_entity_order(entities, seed)
-            else:
-                rng = np.random.default_rng()
-                order = rng.permutation(len(entities))
-                entities = [entities[i] for i in order]
-            iterator: Iterator[EntityKey] = iter(entities)
-        else:
-            iterator = self.iter_entities()
-        batch_index = 0
-        chunk: list[EntityKey] = []
-        for entity in iterator:
-            chunk.append(entity)
-            if len(chunk) >= batch_entities:
-                yield ClaimBatch(
-                    index=batch_index, triples=tuple(self._store.entity_triples(chunk))
-                )
-                batch_index += 1
-                chunk = []
-        if chunk:
-            yield ClaimBatch(
-                index=batch_index, triples=tuple(self._store.entity_triples(chunk))
-            )
+        return self.iter_entities(), self._store.entity_triples
 
     # -- lifecycle ---------------------------------------------------------------------
     def close(self) -> None:

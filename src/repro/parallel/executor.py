@@ -119,9 +119,10 @@ def fit_shard(task: ShardTask, registry: MethodRegistry | None = None) -> ShardF
     the shared default registry (registries do not cross the process
     boundary).
 
-    A store task's triples are read from its claim store first, laid out
-    like the grouped plan's shard (entities in plan order, each entity's
-    triples in ingest order), so both plans produce identical fits.
+    A store task's triples are read from its claim store, laid out like the
+    grouped plan's shard (entities in plan order, each entity's triples in
+    ingest order), so both plans produce identical fits.  When traced, the
+    read runs inside ``shard.fit`` as its ``store.read`` child span.
 
     For the ``trust_sync`` strategy the solver is constructed (validating
     hyperparameters) but not fitted — its iterations run cooperatively in
@@ -134,22 +135,33 @@ def fit_shard(task: ShardTask, registry: MethodRegistry | None = None) -> ShardF
     :attr:`~repro.parallel.merge.ShardFit.spans` as plain dicts for the
     executor to graft into the caller's tree.
     """
-    triples = task.triples
-    if task.store_path is not None:
-        with ClaimStore(task.store_path, read_only=True) as store:
-            triples = tuple(store.entity_triples(task.entities))
     ambient = obs.get_tracer()
     if task.span_context is None and not ambient.enabled:
-        return _fit_shard_impl(task, triples, registry)
+        return _fit_shard_impl(task, _read_triples(task), registry)
     collector = obs.InMemorySpanCollector()
     tracer = obs.Tracer(collector, clock=ambient.clock)
     with obs.use_tracer(tracer):
-        with tracer.span(
-            "shard.fit", shard=task.index, method=task.method, triples=len(triples)
-        ) as span:
+        with tracer.span("shard.fit", shard=task.index, method=task.method) as span:
+            triples = _read_triples(task)
+            span.set(triples=len(triples))
             fit = _fit_shard_impl(task, triples, registry)
             span.set(facts=fit.num_facts, sources=len(fit.source_names))
     return dataclasses.replace(fit, spans=tuple(collector.spans))
+
+
+def _read_triples(task: ShardTask) -> tuple[tuple, ...]:
+    """The task's rows: its own, or its entities' rows read from its claim store.
+
+    A store read records a ``store.read`` span into the current tracer — a
+    child of the worker's ``shard.fit`` when traced, nothing when not.
+    """
+    if task.store_path is None:
+        return task.triples
+    with obs.get_tracer().span("store.read", entities=len(task.entities)) as span:
+        with ClaimStore(task.store_path, read_only=True) as store:
+            triples = tuple(store.entity_triples(task.entities))
+        span.set(triples=len(triples))
+    return triples
 
 
 def _fit_shard_impl(

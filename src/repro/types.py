@@ -8,6 +8,7 @@ subpackage agrees on what those objects look like.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, NamedTuple, Union
 
@@ -22,6 +23,7 @@ __all__ = [
     "Observation",
     "TruthLabel",
     "Triple",
+    "ClaimBatch",
     "as_triple",
     "triple_columns",
 ]
@@ -78,6 +80,31 @@ class Triple(NamedTuple):
     def as_tuple(self) -> tuple[EntityKey, AttributeValue, SourceName]:
         """Return the triple as a plain ``(entity, attribute, source)`` tuple."""
         return tuple(self)
+
+
+@dataclass(frozen=True)
+class ClaimBatch:
+    """One batch of raw triples arriving together.
+
+    Attributes
+    ----------
+    index:
+        Zero-based batch sequence number.
+    triples:
+        The raw rows in the batch: :class:`Triple` or any other
+        ``(entity, attribute, source)`` sequence.
+    """
+
+    index: int
+    triples: tuple[Triple, ...]
+
+    @property
+    def entities(self) -> list[str]:
+        """Distinct entities mentioned in the batch, in first-seen order."""
+        return list(dict.fromkeys(row[0] for row in self.triples))
+
+    def __len__(self) -> int:
+        return len(self.triples)
 
 
 def as_triple(row: Any) -> Triple:

@@ -12,8 +12,8 @@ from repro.data.raw import RawDatabase
 from repro.engine.config import ExecutionConfig
 from repro.engine.registry import MethodRegistry, MethodSpec
 from repro.exceptions import ConfigurationError, NotFittedError, ReproError, StreamError
+from repro.io import as_source, split_prefix
 from repro.pipeline import run_integration
-from repro.streaming import ClaimStream
 from repro.types import Triple
 
 
@@ -219,12 +219,12 @@ class TestTruthEngine:
         engine = TruthEngine(
             method="ltm", params={"iterations": 10, "seed": 1}, retrain_every=1
         )
-        for batch in ClaimStream(_triples_for(4), batch_entities=2):
+        for batch in as_source(_triples_for(4)).iter_batches(2, by_entity=True):
             engine.partial_fit(batch)
         assert all(r.retrained for r in engine.reports)
         engine.config = engine.config.with_overrides(retrain_every=0)
         report = engine.partial_fit(
-            next(iter(ClaimStream(_triples_for(6)[-12:], batch_entities=2)))
+            next(as_source(_triples_for(6)[-12:]).iter_batches(2, by_entity=True))
         ).last_report
         assert not report.retrained
 
@@ -350,7 +350,7 @@ class TestStreamingParity:
         periodic re-training.
         """
         triples = _triples_for(24)
-        historical, future = ClaimStream.split_prefix(triples, fraction=0.4, seed=1)
+        historical, future = split_prefix(triples, fraction=0.4, seed=1)
 
         def run_stream():
             engine = TruthEngine(
@@ -360,8 +360,8 @@ class TestStreamingParity:
             )
             engine.ingest(historical)
             engine.fit()
-            for batch in ClaimStream(
-                future, batch_entities=4, shuffle_entities=True, seed=2
+            for batch in as_source(future).iter_batches(
+                4, by_entity=True, shuffle=True, seed=2
             ):
                 engine.partial_fit(batch)
             return engine

@@ -26,10 +26,10 @@ from repro.io import (
     TripleFileSource,
     as_source,
     default_catalog,
+    split_prefix,
 )
 from repro.pipeline.integrate import run_integration
 from repro.store import ClaimStore
-from repro.streaming import ClaimStream
 from repro.types import Triple
 
 TRIPLES = [
@@ -166,7 +166,7 @@ class TestCatalogParity:
 
     @pytest.mark.parametrize("key", ["books_small", "movies_small"])
     def test_streaming_partial_fit_parity(self, key):
-        """partial_fit over iter_batches == the pre-existing ClaimStream path."""
+        """partial_fit over a catalog source's batches == over its raw triples'."""
         source = default_catalog().create(key, **SMALL_PARAMS[key])
         triples = list(source.iter_triples())
 
@@ -181,13 +181,42 @@ class TestCatalogParity:
             via_source.partial_fit(batch)
 
         via_stream = TruthEngine(config)
-        for batch in ClaimStream(triples, batch_entities=25):
+        for batch in as_source(triples).iter_batches(25, by_entity=True):
             via_stream.partial_fit(batch)
 
         assert via_source.fact_scores == via_stream.fact_scores
         assert [r.retrained for r in via_source.reports] == [
             r.retrained for r in via_stream.reports
         ]
+
+    @pytest.mark.parametrize("batch_entities", [1, 7, 25])
+    def test_whole_entity_batches_score_like_one_batch(self, batch_entities):
+        """LTMinc is entity-local: whole-entity batches change no fact score.
+
+        Triple-count batches split entities, so each part loses the negative
+        claims of the other part's sources and some facts score differently.
+        """
+        triples = list(as_source("movies_small").iter_triples())
+        historical, future = split_prefix(triples, fraction=0.4, seed=1)
+
+        def stream(batches):
+            engine = TruthEngine(
+                EngineConfig(
+                    method="ltm", params={"iterations": 30, "seed": 3}, retrain_every=0
+                )
+            )
+            engine.fit(historical)
+            for batch in batches:
+                engine.partial_fit(batch)
+            return engine.fact_scores
+
+        whole = stream([future])
+        by_entity = stream(as_source(future).iter_batches(batch_entities, by_entity=True))
+        assert by_entity.keys() == whole.keys()
+        assert max(abs(by_entity[k] - whole[k]) for k in whole) <= 1e-12
+
+        by_triples = stream(as_source(future).iter_batches(50))
+        assert max(abs(by_triples[k] - whole[k]) for k in whole) > 0.5
 
     def test_partial_fit_accepts_source_as_one_batch(self):
         engine = TruthEngine(method="ltm", iterations=10, seed=1)

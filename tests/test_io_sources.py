@@ -7,6 +7,7 @@ from repro.data.claim_builder import build_dataset
 from repro.data.loaders import save_dataset_json, save_labels_csv, save_triples_csv
 from repro.data.raw import RawDatabase
 from repro.exceptions import StreamError
+from repro.io import as_source
 from repro.io.base import DataSource, SourceSchema
 from repro.io.sources import (
     DatasetSource,
@@ -15,7 +16,6 @@ from repro.io.sources import (
     SyntheticSource,
     TripleFileSource,
 )
-from repro.streaming import ClaimStream
 from repro.types import Triple
 
 TRIPLES = [
@@ -85,16 +85,11 @@ class TestIterBatches:
         with pytest.raises(StreamError):
             list(MemorySource(TRIPLES).iter_batches(0))
 
-    def test_claim_stream_is_adapter_over_iter_batches(self):
-        stream_batches = list(ClaimStream(TRIPLES, batch_entities=2))
-        source_batches = list(MemorySource(TRIPLES).iter_batches(2, by_entity=True))
-        assert [b.triples for b in stream_batches] == [b.triples for b in source_batches]
-
     def test_claim_stream_accepts_sources_and_catalog_keys(self):
-        via_source = list(ClaimStream(MemorySource(TRIPLES), batch_entities=2))
-        via_list = list(ClaimStream(TRIPLES, batch_entities=2))
+        via_source = list(as_source(MemorySource(TRIPLES)).iter_batches(2, by_entity=True))
+        via_list = list(as_source(TRIPLES).iter_batches(2, by_entity=True))
         assert [b.triples for b in via_source] == [b.triples for b in via_list]
-        assert ClaimStream("paper_example", batch_entities=1).num_batches() == 2
+        assert len(list(as_source("paper_example").iter_batches(1, by_entity=True))) == 2
 
 
 class TestTripleFileSource:

@@ -71,6 +71,20 @@ class TestStoreSource:
             assert list(source.iter_entities()) == ["e1", "e2", "e3"]
             assert source.entity_triples(["e3", "e1"]) == TRIPLES[5:] + TRIPLES[:3]
 
+    def test_entity_batches_read_one_chunk_per_batch(self, store_path, monkeypatch):
+        with ClaimStore(store_path, read_only=True) as store:
+            reads = []
+            read = store.entity_triples
+            monkeypatch.setattr(
+                store, "entity_triples", lambda keys: reads.append(list(keys)) or read(keys)
+            )
+            monkeypatch.setattr(store, "iter_triples", lambda **_: pytest.fail("full scan"))
+            batches = StoreSource(store).iter_batches(2, by_entity=True)
+            assert next(batches).entities == ["e1", "e2"]
+            assert reads == [["e1", "e2"]]
+            assert [b.entities for b in batches] == [["e3"]]
+            assert reads == [["e1", "e2"], ["e3"]]
+
     def test_claim_matrix_identical_to_memory_source(self, store_path):
         expected = MemorySource(TRIPLES).to_claim_matrix()
         with StoreSource(store_path) as source:

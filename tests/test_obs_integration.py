@@ -206,6 +206,30 @@ class TestShardedSpans:
         for earlier, later in zip(shards, shards[1:]):
             assert later["start"] >= earlier["end"]
 
+    def test_store_shard_fit_owns_its_store_read(self, tmp_path):
+        path = tmp_path / "claims.db"
+        with ClaimStore(path) as store:
+            store.append(_triples_for(12))
+        execution = ExecutionConfig(num_shards=2, backend="serial")
+        tracer = obs.configure()
+        TruthEngine(method="voting", execution=execution).fit(f"store://{path}")
+        spans = _by_name(tracer.collector.spans)
+        assert len(spans["shard.fit"]) == 2
+        assert len(spans["store.read"]) == 2
+        for shard in spans["shard.fit"]:
+            reads = [r for r in spans["store.read"] if r["parent_id"] == shard["span_id"]]
+            assert len(reads) == 1
+            read = reads[0]["attributes"]
+            assert read["entities"] > 0
+            assert read["triples"] == shard["attributes"]["triples"] > 0
+
+        obs.reset()
+        tracer = obs.configure()
+        TruthEngine(method="voting", execution=execution).fit(_triples_for(12))
+        spans = _by_name(tracer.collector.spans)
+        assert len(spans["shard.fit"]) == 2
+        assert "store.read" not in spans
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_telemetry_never_changes_scores(self, backend):
         def run(telemetry: bool) -> np.ndarray:

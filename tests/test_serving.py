@@ -629,8 +629,6 @@ def test_cli_export_positional_source_is_file_first(tmp_path, capsys, monkeypatc
 
 
 def test_streaming_export_dir_publishes_steps(tmp_path):
-    from repro.streaming import ClaimStream
-
     engine = TruthEngine(
         EngineConfig(
             method="ltm",
@@ -641,11 +639,10 @@ def test_streaming_export_dir_publishes_steps(tmp_path):
     )
     engine.ingest(_source_for("paper_example").iter_triples())
     engine.fit()
-    stream = ClaimStream(
-        [("Pirates 5", "Johnny Depp", "IMDB"), ("Pirates 5", "Someone", "BadSource.com")],
-        batch_entities=1,
+    stream = as_source(
+        [("Pirates 5", "Johnny Depp", "IMDB"), ("Pirates 5", "Someone", "BadSource.com")]
     )
-    for batch in stream:
+    for batch in stream.iter_batches(1, by_entity=True):
         engine.partial_fit(batch)
     published = sorted(p.name for p in (tmp_path / "steps").iterdir())
     assert published == ["step_00001"]

@@ -1,12 +1,11 @@
-"""Tests for the streaming claim batches and the engine's streaming lifecycle."""
+"""Tests for entity-grouped arrival batches and the engine's streaming lifecycle."""
 
 import pytest
 
 from repro.engine import EngineConfig, TruthEngine
 from repro.exceptions import StreamError
-from repro.streaming import ClaimStream
-from repro.streaming.stream import ClaimBatch
-from repro.types import Triple
+from repro.io import as_source, split_prefix
+from repro.types import ClaimBatch, Triple
 
 
 def _streaming_engine(retrain_every=5, iterations=30, cumulative=True, seed=1):
@@ -31,17 +30,16 @@ def _triples_for(num_entities: int, good_sources: int = 5) -> list[Triple]:
 
 
 class TestClaimStream:
+    """Arrival batches from ``DataSource.iter_batches(n, by_entity=True)``."""
+
     def test_batches_group_entities(self):
-        stream = ClaimStream(_triples_for(10), batch_entities=4)
-        batches = list(stream)
+        batches = list(as_source(_triples_for(10)).iter_batches(4, by_entity=True))
         assert len(batches) == 3
-        assert stream.num_batches() == 3
         assert sum(len(b.entities) for b in batches) == 10
         assert batches[0].index == 0 and batches[-1].index == 2
 
     def test_batch_contains_all_entity_triples(self):
-        stream = ClaimStream(_triples_for(4), batch_entities=2)
-        batch = next(iter(stream))
+        batch = next(as_source(_triples_for(4)).iter_batches(2, by_entity=True))
         for entity in batch.entities:
             expected = [t for t in _triples_for(4) if t.entity == entity]
             got = [t for t in batch.triples if t.entity == entity]
@@ -49,23 +47,20 @@ class TestClaimStream:
 
     def test_shuffle_is_deterministic_per_seed(self):
         triples = _triples_for(12)
-        a = [b.entities for b in ClaimStream(triples, batch_entities=3, shuffle_entities=True, seed=1)]
-        b = [b.entities for b in ClaimStream(triples, batch_entities=3, shuffle_entities=True, seed=1)]
-        c = [b.entities for b in ClaimStream(triples, batch_entities=3, shuffle_entities=True, seed=2)]
+        source = as_source(triples)
+        a = [b.entities for b in source.iter_batches(3, by_entity=True, shuffle=True, seed=1)]
+        b = [b.entities for b in source.iter_batches(3, by_entity=True, shuffle=True, seed=1)]
+        c = [b.entities for b in source.iter_batches(3, by_entity=True, shuffle=True, seed=2)]
         assert a == b
         assert a != c
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(StreamError):
-            ClaimStream([])
-
     def test_invalid_batch_size(self):
         with pytest.raises(StreamError):
-            ClaimStream(_triples_for(2), batch_entities=0)
+            list(as_source(_triples_for(2)).iter_batches(0, by_entity=True))
 
     def test_split_prefix(self):
         triples = _triples_for(10)
-        historical, future = ClaimStream.split_prefix(triples, fraction=0.5, seed=3)
+        historical, future = split_prefix(triples, fraction=0.5, seed=3)
         historical_entities = {t.entity for t in historical}
         future_entities = {t.entity for t in future}
         assert historical_entities.isdisjoint(future_entities)
@@ -73,7 +68,14 @@ class TestClaimStream:
 
     def test_split_prefix_invalid_fraction(self):
         with pytest.raises(StreamError):
-            ClaimStream.split_prefix(_triples_for(4), fraction=1.5)
+            split_prefix(_triples_for(4), fraction=1.5)
+
+    def test_split_prefix_reads_rows_by_index(self):
+        triples = _triples_for(10)
+        tuples = [tuple(t) for t in triples]
+        assert split_prefix(tuples, fraction=0.3, seed=4) == split_prefix(
+            triples, fraction=0.3, seed=4
+        )
 
     def test_claim_batch_len(self):
         batch = ClaimBatch(index=0, triples=(Triple("e", "a", "s"),))
@@ -84,13 +86,13 @@ class TestClaimStream:
 class TestStreamingEngine:
     def test_bootstrap_then_stream(self):
         triples = _triples_for(30)
-        historical, future = ClaimStream.split_prefix(triples, fraction=0.5, seed=0)
+        historical, future = split_prefix(triples, fraction=0.5, seed=0)
         engine = _streaming_engine(retrain_every=0, iterations=30, seed=1)
         engine.ingest(historical)
         engine.fit()
         assert engine.source_quality is not None
 
-        for batch in ClaimStream(future, batch_entities=5):
+        for batch in as_source(future).iter_batches(5, by_entity=True):
             engine.partial_fit(batch)
         reports = engine.reports
         assert len(reports) >= 1
@@ -106,7 +108,7 @@ class TestStreamingEngine:
 
     def test_cold_start_falls_back_to_voting(self):
         engine = _streaming_engine(retrain_every=2, iterations=20, seed=1)
-        batches = list(ClaimStream(_triples_for(8), batch_entities=4))
+        batches = list(as_source(_triples_for(8)).iter_batches(4, by_entity=True))
         report = engine.partial_fit(batches[0]).last_report
         assert report.retrained is False
         assert engine.source_quality is None
@@ -116,14 +118,14 @@ class TestStreamingEngine:
 
     def test_periodic_retraining_counts(self):
         engine = _streaming_engine(retrain_every=2, iterations=15, seed=1)
-        for batch in ClaimStream(_triples_for(12), batch_entities=3):
+        for batch in as_source(_triples_for(12)).iter_batches(3, by_entity=True):
             engine.partial_fit(batch)
         retrain_flags = [r.retrained for r in engine.reports]
         assert retrain_flags == [False, True, False, True]
 
     def test_non_cumulative_retraining(self):
         engine = _streaming_engine(retrain_every=1, iterations=15, cumulative=False, seed=1)
-        for batch in ClaimStream(_triples_for(9), batch_entities=3):
+        for batch in as_source(_triples_for(9)).iter_batches(3, by_entity=True):
             engine.partial_fit(batch)
         assert all(r.retrained for r in engine.reports)
         assert engine.source_quality is not None
@@ -144,7 +146,7 @@ class TestStreamingEngine:
         engine = _streaming_engine(retrain_every=0, iterations=20, seed=1)
         engine.ingest(_triples_for(10))
         engine.fit()
-        batch = next(iter(ClaimStream(_triples_for(20)[30:], batch_entities=50)))
+        batch = next(as_source(_triples_for(20)[30:]).iter_batches(50, by_entity=True))
         report = engine.partial_fit(batch).last_report
         accepted = report.accepted_facts(threshold=0.5)
         assert all(isinstance(pair, tuple) and len(pair) == 2 for pair in accepted)
