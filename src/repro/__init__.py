@@ -147,7 +147,7 @@ from repro.parallel import (
 from repro.serving import TruthArtifact, TruthService, load_artifact, serve
 from repro.api import APIServer, ASGIClient, TruthAPI, create_app
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",

@@ -1,9 +1,9 @@
 """``repro.api`` — the stdlib ASGI network serving tier.
 
-The fifth pillar next to :mod:`repro.engine`, :mod:`repro.io`,
-:mod:`repro.serving` and :mod:`repro.parallel`: an HTTP front for the
-hot-swappable :class:`~repro.serving.TruthService`, so the reproduction
-serves multi-client network traffic instead of in-process calls only.
+The fifth pillar: an HTTP front for the hot-swappable
+:class:`~repro.serving.TruthService`, so the reproduction serves
+multi-client network traffic instead of in-process calls only.  It reads
+and writes through that service alone; training stays offline.
 
 * :func:`create_app` / :class:`~repro.api.app.TruthAPI` — a dependency-free
   ASGI 3.0 application exposing ``/truth/{entity}``, ``/batch``, ``/top-k``,

@@ -17,8 +17,8 @@ Endpoints
 ``POST /batch``                  vectorised point lookups over JSON pairs
 ``GET /top-k``                   global or per-entity highest-scored facts
 ``POST /score``                  closed-form LTMinc scoring of unseen claims
-``POST /ingest``                 integrate new triples (idempotency keys) and
-                                 hot-swap the served snapshot
+``POST /ingest``                 score new triples under the served quality
+                                 (idempotency keys) and hot-swap them in
 ``POST /refresh``                hot-swap onto a re-published artifact path
 ``GET /healthz``                 liveness + served-artifact identity
 ``GET /metrics``                 Prometheus text metrics
@@ -38,10 +38,11 @@ Operational behaviour:
   from the client when supplied) and one structured JSON log line
   (:mod:`repro.api.observability`); counters and latency histograms
   (:mod:`repro.obs.metrics`) are exposed at ``/metrics``.
-* **hot swap** — ``/ingest`` and ``/refresh`` republish through the atomic
-  :meth:`TruthService.refresh`; readers racing a swap see the old or the new
-  snapshot in full, never a mixture, and the snapshot generation counter is
-  monotonic.  All writer paths serialise on one ``asyncio.Lock``.
+* **hot swap** — ``/ingest`` and ``/refresh`` publish through the atomic
+  :meth:`TruthService.integrate` / :meth:`TruthService.refresh`; readers
+  racing a swap see the old or the new snapshot in full, never a mixture,
+  and every reply reads the service's monotonic generation.  All writer
+  paths serialise on one ``asyncio.Lock``.
 
 Responses are canonical JSON (:mod:`repro.api.codec`) — byte-identical for
 the same request regardless of which server fronts the app, which is what
@@ -252,8 +253,6 @@ class TruthAPI:
         self._request_id_factory = request_id_factory
         self._log = RequestLogger(logger, wall_clock=wall_clock)
         self._write_lock = asyncio.Lock()
-        self._writer_engine = None
-        self._generation = 1
 
         self.metrics = MetricsRegistry()
         self._m_requests = self.metrics.counter(
@@ -275,14 +274,14 @@ class TruthAPI:
         self._m_refreshes = self.metrics.counter(
             "repro_api_refreshes_total", "Successful snapshot hot swaps."
         )
-        self._m_generation = self.metrics.gauge(
+        self._m_snapshot_gen = self.metrics.gauge(
             "repro_api_snapshot_generation",
             "Monotonic generation of the served snapshot.",
         )
         self._m_facts = self.metrics.gauge(
             "repro_api_facts", "Facts in the served snapshot."
         )
-        self._m_generation.set(self._generation)
+        self._m_snapshot_gen.set(self.generation)
         self._m_facts.set(len(self.service))
 
         self.router = Router()
@@ -298,39 +297,15 @@ class TruthAPI:
     # -- snapshot state -------------------------------------------------------------
     @property
     def generation(self) -> int:
-        """Monotonic counter of served snapshots (starts at 1, +1 per swap)."""
-        return self._generation
+        """The served snapshot's generation (:attr:`TruthService.generation`)."""
+        return self.service.generation
 
-    def _publish(self, artifact: TruthArtifact) -> int:
-        """Swap the served snapshot (writer lock held) and bump the generation."""
-        self.service.refresh(artifact)
-        self._generation += 1
-        self._m_generation.set(self._generation)
+    def _published(self) -> int:
+        """Record a swap the service just made (writer lock held)."""
+        self._m_snapshot_gen.set(self.generation)
         self._m_facts.set(len(self.service))
         self._m_refreshes.inc()
-        return self._generation
-
-    def _ensure_writer(self):
-        """The engine behind ``/ingest``, rebuilt lazily from the served artifact.
-
-        The writer scores arriving batches with the closed-form LTMinc
-        posterior only (``retrain_every=0``) — full re-training stays an
-        offline job whose output is published through ``/refresh``, exactly
-        the train/serve split of paper Section 5.4.  Since it never re-fits
-        and artifacts carry no triples, it keeps no history either
-        (``retain_history=False``).
-        """
-        from repro.engine.facade import TruthEngine
-
-        if self._writer_engine is None:
-            artifact = self.service.artifact
-            config = dataclasses.replace(
-                artifact.config, retrain_every=0, retain_history=False, export_dir=None
-            )
-            self._writer_engine = TruthEngine.from_artifact(
-                dataclasses.replace(artifact, config=config)
-            )
-        return self._writer_engine
+        return self.generation
 
     # -- ASGI entry point -----------------------------------------------------------
     async def __call__(self, scope: dict, receive, send) -> None:
@@ -476,7 +451,7 @@ class TruthAPI:
             200,
             {
                 "status": "ok",
-                "generation": self._generation,
+                "generation": self.generation,
                 "artifact": self.service.artifact.summary(),
             },
         )
@@ -580,12 +555,10 @@ class TruthAPI:
                         headers=[("Idempotency-Replay", "true")],
                     )
             try:
-                engine = self._ensure_writer()
-                engine.partial_fit(triples)
-                artifact = engine.to_artifact(name=self.service.artifact.name)
+                self.service.integrate(triples)
             except DataModelError as exc:
                 raise HTTPError(400, "invalid_payload", str(exc))
-            generation = self._publish(artifact)
+            generation = self._published()
             self._m_ingested.inc(len(triples))
             response = Response.json(
                 200,
@@ -617,9 +590,8 @@ class TruthAPI:
         except ArtifactError as exc:
             raise HTTPError(400, "artifact_error", str(exc))
         async with self._write_lock:
-            generation = self._publish(artifact)
-            # The next ingest must continue from the freshly published state.
-            self._writer_engine = None
+            self.service.refresh(artifact)
+            generation = self._published()
             if payload.get("artifact"):
                 self._artifact_path = path
         return Response.json(

@@ -152,6 +152,10 @@ class ClaimMatrix:
             raise UnknownFactError(f"fact id {fact_id} out of range [0, {self.num_facts})")
         return self.facts[fact_id]
 
+    def fact_scores(self, scores: np.ndarray) -> dict[tuple[EntityKey, str], float]:
+        """``(entity, attribute as text) -> score`` for one score per fact, in fact order."""
+        return {(f.entity, str(f.attribute)): float(scores[f.fact_id]) for f in self.facts}
+
     def facts_of_entity(self, entity: EntityKey) -> list[FactId]:
         """Fact ids belonging to ``entity``."""
         return list(self._entity_to_facts.get(entity, ()))

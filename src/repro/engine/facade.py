@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 import numpy as np
 
 from repro import obs
+from repro.baselines.voting import Voting
 from repro.core.base import SourceQualityTable, TruthMethod, TruthResult
 from repro.core.gibbs import GibbsTrace
 from repro.core.incremental import IncrementalLTM, prior_mean_predictor
@@ -712,8 +713,7 @@ class TruthEngine:
         self._claims = claims
         if result.source_quality is not None:
             self._quality = result.source_quality
-        for fact in claims.facts:
-            self._scores[(fact.entity, str(fact.attribute))] = float(result.scores[fact.fact_id])
+        self._scores.update(claims.fact_scores(result.scores))
         self._since_last_fit = {}
         self._batches_since_fit = 0
 
@@ -742,9 +742,9 @@ class TruthEngine:
         that splits an entity loses the other part's negative claims.  With
         ``config.retain_history=False`` the engine additionally drops each
         batch's triples once scored (keeping only the current re-train
-        window, if any), so a stream backed by a
-        :class:`~repro.store.claims.ClaimStore` runs in memory bounded by
-        batch size.
+        window, if any), but keeps one score per integrated fact plus each
+        step's report of its batch's fact scores, so memory grows with the
+        facts streamed and is not bounded by batch size.
 
         The step outcome is appended to :attr:`reports` and available as
         :attr:`last_report`.
@@ -765,23 +765,17 @@ class TruthEngine:
             raise StreamError("cannot integrate an empty batch")
         batch_matrix = build_claim_matrix(batch.triples, strict=False)
 
-        if self._quality is not None:
-            scores = self._incremental_predictor().fit(batch_matrix).scores
-        else:
-            # No quality learned yet: fall back to the per-fact voting proportion.
-            positives = batch_matrix.positive_counts_per_fact().astype(float)
-            totals = np.maximum(batch_matrix.claim_counts_per_fact().astype(float), 1.0)
-            scores = positives / totals
+        # No quality learned yet: fall back to the per-fact voting proportion.
+        scores = (
+            self._incremental_predictor() if self._quality is not None else Voting()
+        ).fit(batch_matrix).scores
 
-        fact_scores = {
-            (fact.entity, str(fact.attribute)): float(scores[fact.fact_id])
-            for fact in batch_matrix.facts
-        }
+        fact_scores = batch_matrix.fact_scores(scores)
         self._scores.update(fact_scores)
 
-        # retain_history=False bounds the engine's memory: the stream's
-        # history lives in its backing store, not here.  The re-train window
-        # is kept only when periodic re-fits read it (retrain_every > 0).
+        # retain_history=False keeps no triples: the stream's history lives
+        # in its backing store, not here.  The re-train window is kept only
+        # when periodic re-fits read it (retrain_every > 0).
         if self.config.retain_history or self.config.retrain_every:
             rows = dict.fromkeys(map(tuple, batch.triples))
             if self.config.retain_history:

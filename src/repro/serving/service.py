@@ -17,7 +17,8 @@ source quality and LTMinc be deployed for online prediction"): it loads a
 All query state lives in one immutable snapshot object; :meth:`refresh`
 swaps the snapshot atomically (copy-on-write), so a re-train can publish a
 new artifact while in-flight queries keep reading the old one — no locks,
-no torn reads.
+no torn reads.  :meth:`integrate` publishes an arriving batch through the
+same swap.
 
 Build one with :func:`serve`, which accepts an artifact path, a fitted
 :class:`~repro.engine.TruthEngine`, a :class:`TruthArtifact`, or anything
@@ -35,19 +36,22 @@ To serve this layer over the network, front it with :mod:`repro.api` — a
 dependency-free ASGI application (``repro.api.create_app``, CLI:
 ``repro-truth serve``) exposing the point / batch / top-k / score paths as
 HTTP endpoints, with rate limiting, idempotent ingest and metrics; its
-hot-swap endpoints republish through :meth:`TruthService.refresh` and take
-multi-read-consistent views via :meth:`TruthService.snapshot`.
+write endpoints publish through :meth:`TruthService.integrate` and
+:meth:`TruthService.refresh`, and reads take multi-read-consistent views via
+:meth:`TruthService.snapshot`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
+from repro.baselines.voting import Voting
 from repro.core.base import SourceQualityTable
 from repro.core.incremental import IncrementalLTM, prior_mean_predictor
 from repro.core.priors import LTMPriors
@@ -73,7 +77,6 @@ class _Snapshot:
         "scores",
         "by_entity",
         "predictor",
-        "priors",
         "entity_top",
     )
 
@@ -86,8 +89,13 @@ class _Snapshot:
         for (entity, attribute), score in self.scores.items():
             self.by_entity.setdefault(entity, []).append((attribute, score))
 
-        self.priors = self._resolved_priors(artifact)
-        self.predictor = self._build_predictor(artifact, self.priors)
+        # Cold-start contract: sources unseen at fit time are scored at the
+        # prior-mean quality rather than erroring (see TruthService.score).
+        priors = artifact.config.params.get("priors")
+        priors = priors if isinstance(priors, LTMPriors) else LTMPriors()
+        self.predictor: IncrementalLTM | None = (
+            None if artifact.quality is None else prior_mean_predictor(artifact.quality, priors)
+        )
 
         # Per-entity ranked results are memoised per snapshot: the cache
         # dies with the snapshot, so a refresh can never serve stale ranks.
@@ -123,24 +131,12 @@ class _Snapshot:
             for i in order
         ]
 
-    @staticmethod
-    def _resolved_priors(artifact: TruthArtifact) -> LTMPriors:
-        priors = artifact.config.params.get("priors")
-        return priors if isinstance(priors, LTMPriors) else LTMPriors()
-
-    @staticmethod
-    def _build_predictor(
-        artifact: TruthArtifact, priors: LTMPriors
-    ) -> IncrementalLTM | None:
-        if artifact.quality is None:
-            return None
-        # Cold-start contract: sources unseen at fit time are scored at the
-        # prior-mean quality rather than erroring (see TruthService.score).
-        return prior_mean_predictor(artifact.quality, priors)
-
 
 class TruthService:
-    """Query layer over a versioned truth artifact.
+    """Query layer over a versioned truth artifact, and its only writer.
+
+    :meth:`refresh` publishes a re-trained artifact and :meth:`integrate`
+    an arriving batch; each advances :attr:`generation`.
 
     Parameters
     ----------
@@ -180,6 +176,11 @@ class TruthService:
     def artifact(self) -> TruthArtifact:
         """The artifact currently being served."""
         return self._snapshot.artifact
+
+    @property
+    def generation(self) -> int:
+        """Monotonic count of published snapshots: 1 at load, +1 per publish."""
+        return self._generation
 
     def snapshot(self) -> _Snapshot:
         """An atomic read view of the currently served state.
@@ -222,6 +223,35 @@ class TruthService:
                 generation=self._generation,
             )
         return self
+
+    def integrate(self, triples: "Iterable[Triple | tuple]") -> "TruthService":
+        """Score an arriving batch (LTMinc) and publish it via :meth:`refresh`.
+
+        Scores like :meth:`score`, or by voting without a quality table.
+        Served facts keep their position and new ones append, under a
+        scoring-only config: the bytes ``TruthEngine.partial_fit`` exports.
+        A bad row or an empty batch raises ``DataModelError``.
+        """
+        snapshot = self._snapshot
+        artifact = snapshot.artifact
+        claims = bulk_build_claim_matrix(triples)
+        scorer = snapshot.predictor if snapshot.predictor is not None else Voting()
+        merged = dict(snapshot.scores)
+        merged.update(claims.fact_scores(scorer.fit(claims).scores))
+        steps = int(artifact.extras.get("steps_integrated", 0)) + 1
+        return self.refresh(
+            TruthArtifact(
+                config=dataclasses.replace(
+                    artifact.config, retrain_every=0, retain_history=False, export_dir=None
+                ),
+                fact_entity=np.array([entity for entity, _ in merged], dtype=str),
+                fact_attribute=np.array([attribute for _, attribute in merged], dtype=str),
+                fact_score=np.fromiter(merged.values(), dtype=float, count=len(merged)),
+                quality=artifact.quality,
+                name=artifact.name,
+                extras={"steps_integrated": steps},
+            )
+        )
 
     # -- point / batch lookups ------------------------------------------------------
     def truth_of(
@@ -321,11 +351,7 @@ class TruthService:
     ) -> dict[tuple[str, str], float]:
         """Like :meth:`score`, returned as ``(entity, attribute) -> score``."""
         claims = data if isinstance(data, ClaimMatrix) else bulk_build_claim_matrix(data)
-        scores = self.score(claims)
-        return {
-            (fact.entity, str(fact.attribute)): float(scores[fact.fact_id])
-            for fact in claims.facts
-        }
+        return claims.fact_scores(self.score(claims))
 
     # -- introspection ---------------------------------------------------------------
     @property

@@ -15,6 +15,7 @@ socketless :class:`~repro.api.ASGIClient` harness.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import logging
 
@@ -551,28 +552,49 @@ class TestIngest:
         assert lookup.status == 200
         assert lookup.json()["facts"][0]["attribute"] == "Someone"
 
-    def test_ingest_writer_keeps_no_history(self, ltm_artifact):
-        """The writer never re-fits, so it keeps none of the triples it scores."""
-        app = make_app(ltm_artifact)
-        before = fetch(app, "GET", "/healthz").json()
-        for i in range(3):
-            response = fetch(
-                app,
-                "POST",
-                "/ingest",
-                json_body={"triples": [[f"M{i}", "a", "imdb"], [f"M{i}", "b", "netflix"]]},
+    def test_ingest_publishes_engine_stream_payload(
+        self, ltm_artifact, voting_artifact, tmp_path
+    ):
+        """Each /ingest publishes the bytes of the engine's streaming path.
+
+        The oracle rebuilds a scoring-only engine from the served artifact,
+        ``partial_fit``\\ s the batch and exports it under the served name.
+        """
+
+        def oracle(served, batch):
+            config = dataclasses.replace(
+                served.config, retrain_every=0, retain_history=False, export_dir=None
             )
-            assert response.json() == {
-                "ingested": 2,
-                "total_facts": before["artifact"]["facts"] + 2 * (i + 1),
-                "generation": before["generation"] + i + 1,
-            }
-        writer = app._writer_engine
-        assert len(writer._history) == 0
-        assert len(writer._since_last_fit) == 0
-        published = app.service.artifact.config
-        assert published.retain_history is False
-        assert published.retrain_every == 0
+            engine = TruthEngine.from_artifact(dataclasses.replace(served, config=config))
+            engine.partial_fit([tuple(row) for row in batch])
+            return engine.to_artifact(name=served.name).payload()
+
+        new_entity = [["New Movie", "Someone", "IMDB"], ["New Movie", "Other", "Hulu.com"]]
+        # Re-scores served facts; "Fresh.org" is a source the fit never saw.
+        rescored = [
+            ["Harry Potter", "Daniel Radcliffe", "Fresh.org"],
+            ["Harry Potter", "Johnny Depp", "IMDB"],
+        ]
+        after_refresh = [["Pirates 4", "Orlando Bloom", "Fresh.org"]]
+        for artifact in (ltm_artifact, voting_artifact):
+            path = artifact.save(tmp_path / artifact.name)
+            app = make_app(str(path))
+            for step, batch in enumerate((new_entity, rescored, None, after_refresh)):
+                if batch is None:
+                    assert fetch(app, "POST", "/refresh").status == 200
+                    continue
+                expected = oracle(app.service.artifact, batch)
+                generation = app.generation
+                response = fetch(app, "POST", "/ingest", json_body={"triples": batch})
+                assert response.json() == {
+                    "ingested": len(batch),
+                    "total_facts": len(app.service),
+                    "generation": generation + 1,
+                }
+                assert app.service.artifact.payload() == expected, (artifact.name, step)
+            published = app.service.artifact.config
+            assert published.retain_history is False
+            assert published.retrain_every == 0
 
     def test_ingest_without_quality_uses_voting_fallback(self, voting_artifact):
         app = make_app(voting_artifact)
